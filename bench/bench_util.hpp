@@ -3,7 +3,7 @@
 // construction, scaled interference configurations, the synthetic-
 // benchmark experiment used by Fig. 5 and Fig. 6, and the `run_driver`
 // entry-point wrapper that makes a driver exec-able as a supervised
-// shard worker (`--worker`, see measure::SweepOrchestrator).
+// lease worker (`--worker --lease FILE`, see measure::SweepOrchestrator).
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -16,11 +16,9 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/heartbeat.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
-#include "common/work_lease.hpp"
 #include "apps/synthetic_benchmark.hpp"
 #include "common/units.hpp"
 #include "interfere/bwthr_agent.hpp"
@@ -45,8 +43,10 @@ struct BenchContext {
   std::string lease_path;   // --lease FILE: dynamic lease-worker mode
   std::string emit_plan_path;  // --emit-plan FILE: scheduler probe mode
   std::string driver;       // store-file naming stem (set by run_driver)
-  bool worker = false;      // --worker: supervised worker mode
 
+  measure::SchedulingFlags scheduling() const {
+    return {shard, lease_path, emit_plan_path};
+  }
   interfere::CSThrConfig cs_config() const {
     interfere::CSThrConfig c;
     c.buffer_bytes = std::max<std::uint64_t>(4096, 4ull * 1024 * 1024 / scale);
@@ -84,8 +84,8 @@ struct BenchContext {
 /// store keys) with banked-DRAM overrides --dram-channels, --dram-banks,
 /// --dram-row-bytes, --dram-refresh-interval and --dram-refresh-cycles
 /// (cycles; applied after the preset, validated together),
-/// --results-dir DIR (persistent result store), --shard i/n (static
-/// slice), --lease FILE (dynamic lease-worker mode), --emit-plan FILE
+/// --results-dir DIR (persistent result store), --shard i/n (manual
+/// slice), --lease FILE (lease-worker mode), --emit-plan FILE
 /// (scheduler probe). The three scheduling flags are mutually exclusive
 /// — each fixes the invocation's entire control flow.
 inline BenchContext make_context(const Cli& cli,
@@ -140,10 +140,7 @@ inline BenchContext make_context(const Cli& cli,
 /// worker ran a point last time.
 inline measure::ResultStoreFile make_store(const BenchContext& ctx,
                                            const std::string& driver) {
-  if (!ctx.lease_path.empty())
-    return measure::ResultStoreFile::for_lease(ctx.results_dir, driver,
-                                               ctx.lease_path);
-  return measure::ResultStoreFile(ctx.results_dir, driver, ctx.shard);
+  return measure::scheduling_store(ctx.results_dir, driver, ctx.scheduling());
 }
 
 /// make_store using the driver name run_driver stamped into the context.
@@ -161,9 +158,8 @@ inline measure::ResultStoreFile make_store(const BenchContext& ctx) {
 ///     fails fast instead of retrying a doomed command, any other
 ///     exception exits kWorkerExitRunFailed (retryable); no exception
 ///     escapes to std::terminate's ambiguous SIGABRT.
-///   * `--worker` mode (requires --results-dir or --lease): maintains a
-///     heartbeat file next to this worker's store (static shards) or
-///     lease file (lease mode) for liveness supervision.
+///   * `--worker` mode (requires --lease): maintains a heartbeat file
+///     next to the lease file for liveness supervision.
 ///   * `--test-crash-marker PATH` fault injection: the first invocation
 ///     to claim (atomically delete) the marker file dies via SIGKILL
 ///     before any work, so orchestrator kill/retry paths are testable
@@ -178,11 +174,8 @@ int run_driver(int argc, char** argv, const std::string& driver,
     const Cli cli(argc, argv);
     BenchContext ctx = make_context(cli, default_scale, nodes);
     ctx.driver = driver;
-    ctx.worker = cli.get_bool("worker", false);
-    if (ctx.worker && ctx.results_dir.empty() && ctx.lease_path.empty())
-      throw std::invalid_argument(
-          "--worker requires --results-dir or --lease: a worker's only "
-          "output is its store file");
+    const auto heartbeat =
+        measure::start_worker_heartbeat(cli, ctx.scheduling());
     const auto marker = cli.get("test-crash-marker", "");
     if (!marker.empty() && ctx.emit_plan_path.empty() &&
         std::filesystem::remove(marker)) {
@@ -190,13 +183,6 @@ int run_driver(int argc, char** argv, const std::string& driver,
                    driver.c_str());
       std::raise(SIGKILL);
     }
-    std::optional<HeartbeatWriter> heartbeat;
-    if (ctx.worker)
-      heartbeat.emplace(
-          !ctx.lease_path.empty()
-              ? lease_heartbeat_path(ctx.lease_path)
-              : measure::store_path(ctx.results_dir, driver, ctx.shard) +
-                    ".hb");
     return body(cli, ctx);
   } catch (const std::invalid_argument& e) {
     std::cerr << driver << ": " << e.what() << "\n";
@@ -215,7 +201,7 @@ int run_driver(int argc, char** argv, const std::string& driver,
 ///     for the scheduler and stop.
 ///   * `--lease FILE`: loop running leased batches until the scheduler
 ///     drains its queue.
-///   * `--shard i/n`: run the static slice, persist it, print the merge
+///   * `--shard i/n`: run the manual slice, persist it, print the merge
 ///     handoff.
 ///   * otherwise: the full (cache-aware) run.
 ///

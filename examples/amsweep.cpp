@@ -33,17 +33,16 @@
 //      2  usage
 //      3  retry later: daemon draining or unreachable
 //
-// 2. Orchestrator mode (everything else — the PR-5 interface):
+// 2. Orchestrator mode (everything else):
 //
-//      amsweep --results-dir DIR [--schedule static|lease] [--workers N]
-//              [--shards M] [--batches K] [--cost-model measured|uniform]
+//      amsweep --results-dir DIR [--workers N] [--batches K]
 //              [--retries K] [--driver-name NAME] [--poll-seconds S]
 //              [--stall-timeout S] -- <figure driver> [driver flags...]
 //
-//    Runs a figure driver's grid across supervised worker processes
-//    under a static or dynamic (lease) schedule; the merged store is
-//    bit-identical to a direct serial run. Exit: 0 merged, 1 sweep
-//    failed (see manifest), 2 usage.
+//    Runs a figure driver's grid across supervised lease workers (see
+//    measure/orchestrator.hpp); the merged store is bit-identical to a
+//    direct serial run. Unknown flags are usage errors. Exit: 0 merged,
+//    1 sweep failed (see manifest), 2 usage.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -69,10 +68,8 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: amsweep --results-dir DIR [--schedule static|lease]\n"
-      "               [--workers N] [--shards M] [--batches K]\n"
-      "               [--cost-model measured|uniform] [--retries K]\n"
-      "               [--driver-name NAME] [--poll-seconds S]\n"
+      "usage: amsweep --results-dir DIR [--workers N] [--batches K]\n"
+      "               [--retries K] [--driver-name NAME] [--poll-seconds S]\n"
       "               [--stall-timeout S] -- <figure driver> [flags...]\n"
       "       amsweep mkplan|submit|status|cancel|wait|run-local ...\n"
       "exit: 0 ok, 1 failed, 2 usage, 3 retry later (client)\n");
@@ -436,19 +433,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "amsweep: --results-dir is required\n");
       return usage();
     }
-    const auto schedule = cli.get("schedule", "static");
-    if (schedule == "lease")
-      opts.schedule = am::measure::Schedule::kLease;
-    else if (schedule != "static")
-      throw std::invalid_argument(
-          "--schedule must be 'static' or 'lease', got '" + schedule + "'");
-    const auto cost_model = cli.get("cost-model", "measured");
-    if (cost_model == "uniform")
-      opts.use_measured_costs = false;
-    else if (cost_model != "measured")
-      throw std::invalid_argument(
-          "--cost-model must be 'measured' or 'uniform', got '" +
-          cost_model + "'");
     // Validate signs before the size_t casts: a negative typo must be a
     // usage error, not SIZE_MAX workers or an effectively infinite retry
     // budget.
@@ -470,8 +454,6 @@ int main(int argc, char** argv) {
       return v;
     };
     opts.workers = positive("workers", 2);
-    opts.shards =
-        positive("shards", static_cast<std::int64_t>(opts.workers));
     // 0 = auto (a few batches per worker slot); explicit counts must be
     // positive.
     const auto batches = cli.get_int("batches", 0);
@@ -486,6 +468,10 @@ int main(int argc, char** argv) {
     opts.stall_timeout_seconds = non_negative("stall-timeout", 0.0);
     opts.driver = cli.get(
         "driver-name", std::filesystem::path(worker[0]).stem().string());
+    // A typo'd or retired flag (--retires 3, --schedule) must not run a
+    // sweep with silently different settings.
+    if (const auto unknown = cli.unused(); !unknown.empty())
+      throw std::invalid_argument("unknown flag --" + unknown.front());
 
     am::measure::SweepOrchestrator orchestrator(std::move(opts));
     const auto report = orchestrator.run(std::cout);

@@ -4,29 +4,26 @@
 // prediction by actually co-running the pair on the simulator.
 //
 // Build & run:  ./build/examples/coschedule_advisor [--scale N] [--accesses N]
-//               [--results-dir DIR] [--shard i/n | --lease FILE |
-//               --emit-plan FILE] [--worker]
+//               [--results-dir DIR] [--shard i/n |
+//               --lease FILE [--worker] | --emit-plan FILE]
 //
 // The scheduling flags make the advisor orchestratable by amsweep (see
 // mcb_mapping_study for the contract); worker exits follow
-// measure::SweepOrchestrator (2 = usage, 3 = run failure).
+// measure/dispatch.hpp (2 = usage, 3 = run failure).
 #include <cstdio>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/heartbeat.hpp"
-#include "common/work_lease.hpp"
 #include "measure/active_measurer.hpp"
 #include "measure/app_workloads.hpp"
 #include "measure/calibration.hpp"
 #include "measure/coschedule.hpp"
+#include "measure/dispatch.hpp"
 #include "measure/lease.hpp"
-#include "measure/orchestrator.hpp"
 #include "model/distributions.hpp"
 
 namespace {
@@ -48,18 +45,11 @@ int advise(const am::Cli& cli) {
   // One scheduling mode at most (shared contract with the bench
   // drivers); the --shard/--results-dir pairing is validated by
   // ResultStoreFile, which is disabled when no results dir is given.
-  const auto [shard, lease, emit_plan] =
-      am::measure::parse_scheduling_flags(cli);
-  auto store =
-      lease.empty()
-          ? am::measure::ResultStoreFile(cli.get("results-dir", ""),
-                                         "coschedule_advisor", shard)
-          : am::measure::ResultStoreFile::for_lease(
-                cli.get("results-dir", ""), "coschedule_advisor", lease);
-  std::optional<am::HeartbeatWriter> heartbeat;
-  if (cli.get_bool("worker", false))
-    heartbeat.emplace(lease.empty() ? store.path() + ".hb"
-                                    : am::lease_heartbeat_path(lease));
+  const auto flags = am::measure::parse_scheduling_flags(cli);
+  const auto& [shard, lease, emit_plan] = flags;
+  auto store = am::measure::scheduling_store(cli.get("results-dir", ""),
+                                             "coschedule_advisor", flags);
+  const auto heartbeat = am::measure::start_worker_heartbeat(cli, flags);
   auto machine = am::sim::MachineConfig::xeon20mb_scaled(kScale);
   am::sim::apply_mem_backend(machine, cli.get("mem-backend", "channel"));
   am::interfere::CSThrConfig cs;

@@ -6,27 +6,26 @@
 //
 // Build & run:  ./build/examples/mcb_mapping_study [--scale N]
 //               [--particles N] [--steps N]
-//               [--results-dir DIR] [--shard i/n | --lease FILE |
-//               --emit-plan FILE] [--worker]
+//               [--results-dir DIR] [--shard i/n |
+//               --lease FILE [--worker] | --emit-plan FILE]
 //
-// The scheduling flags make the study orchestratable by amsweep: --shard
-// is a static slice, --lease joins a dynamic work queue, --emit-plan
-// answers a scheduler's plan probe. Worker exit codes follow the
-// measure::SweepOrchestrator contract (2 = usage, 3 = run failure).
+// The scheduling flags make the study orchestratable by amsweep: --lease
+// joins its lease queue (--worker adds the liveness heartbeat),
+// --emit-plan answers its plan probe. --shard is a manual slice for
+// hosts without a shared filesystem (merge with amresult). Worker exit
+// codes follow the measure/dispatch.hpp contract (2 = usage, 3 = run
+// failure).
 #include <cstdio>
 #include <iostream>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/heartbeat.hpp"
 #include "common/thread_pool.hpp"
-#include "common/work_lease.hpp"
 #include "measure/app_workloads.hpp"
+#include "measure/dispatch.hpp"
 #include "measure/experiment_plan.hpp"
 #include "measure/lease.hpp"
-#include "measure/orchestrator.hpp"
 
 namespace {
 
@@ -35,19 +34,11 @@ int study(const am::Cli& cli) {
   // One scheduling mode at most (shared contract with the bench
   // drivers); the --shard/--results-dir pairing is validated by
   // ResultStoreFile, which is disabled when no results dir is given.
-  const auto [shard, lease, emit_plan] =
-      am::measure::parse_scheduling_flags(cli);
-  auto store =
-      lease.empty()
-          ? am::measure::ResultStoreFile(cli.get("results-dir", ""),
-                                         "mcb_mapping_study", shard)
-          : am::measure::ResultStoreFile::for_lease(
-                cli.get("results-dir", ""), "mcb_mapping_study", lease);
-  std::optional<am::HeartbeatWriter> heartbeat;
-  if (cli.get_bool("worker", false))
-    heartbeat.emplace(lease.empty()
-                          ? store.path() + ".hb"
-                          : am::lease_heartbeat_path(lease));
+  const auto flags = am::measure::parse_scheduling_flags(cli);
+  const auto& [shard, lease, emit_plan] = flags;
+  auto store = am::measure::scheduling_store(cli.get("results-dir", ""),
+                                             "mcb_mapping_study", flags);
+  const auto heartbeat = am::measure::start_worker_heartbeat(cli, flags);
   auto machine =
       am::sim::MachineConfig::xeon20mb_scaled(kScale, /*nodes=*/12);
   // The backend is part of the machine fingerprint (when not the default

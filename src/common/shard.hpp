@@ -5,15 +5,16 @@
 // once across the fleet, under its original index and therefore its
 // original seed):
 //
-//   * ShardRange — the static front-end: "--shard i/n" picks the fixed
-//     round-robin slice {j : j ≡ i (mod n)} at spawn time. Parsed by
-//     Cli::get_shard, expanded by ExperimentPlan::shard. Good for manual
-//     runs; blind to per-point cost, so a sweep's wall-clock is pinned
-//     to the unluckiest slice.
-//   * WorkLease — the dynamic form: an explicit batch of plan indices a
-//     scheduler (measure::SweepOrchestrator) leases to whichever worker
-//     frees up next. Produced by ExperimentPlan::batches from a
-//     per-point cost model; a ShardRange is just the degenerate lease
+//   * ShardRange — the manual form: "--shard i/n" picks the fixed
+//     round-robin slice {j : j ≡ i (mod n)}. Parsed by Cli::get_shard,
+//     expanded by ExperimentPlan::shard. It exists for hosts that share
+//     no filesystem: each runs its slice into its own store, and
+//     `amresult merge` joins them. Blind to per-point cost, so a
+//     sweep's wall-clock is pinned to the unluckiest slice.
+//   * WorkLease — the dispatched form: an explicit batch of plan indices
+//     the lease-dispatch core (measure/dispatch.hpp) hands to whichever
+//     worker frees up next. Produced by make_batches from a per-point
+//     cost model; a ShardRange is just the uniform-cost batch
 //     assignment computed once up front (see work_lease.hpp for the
 //     on-disk handoff).
 #include <cstddef>

@@ -1,8 +1,8 @@
 #pragma once
 // Minimal child-process supervision: spawn an argv with optional
 // stdout/stderr redirection, poll or wait for its exit status, kill it.
-// This is the process-lifecycle primitive under measure::SweepOrchestrator
-// (one child per plan shard); it knows nothing about experiments.
+// This is the process-lifecycle primitive under measure::LeaseDispatcher
+// (one child per worker slot); it knows nothing about experiments.
 // Guarantees:
 //
 //   * No zombies: a Subprocess that goes out of scope while its child

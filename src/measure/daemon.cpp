@@ -18,7 +18,6 @@
 
 #include "common/atomic_file.hpp"
 #include "common/heartbeat.hpp"
-#include "common/subprocess.hpp"
 #include "common/work_lease.hpp"
 #include "interfere/host_identity.hpp"
 
@@ -27,16 +26,6 @@ namespace am::measure {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-std::string fmt_seconds(double s) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", s);
-  return buf;
-}
 
 bool parse_u64_str(const std::string& s, std::uint64_t& out) {
   if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
@@ -66,35 +55,6 @@ std::optional<JobState> parse_job_state(const std::string& s) {
     if (s == job_state_name(st)) return st;
   return std::nullopt;
 }
-
-/// Same NTP-immune liveness judgment the orchestrator applies: the beat
-/// *sequence* must advance against our own steady clock.
-struct BeatWatch {
-  std::uint64_t last_beats = 0;
-  Clock::time_point last_progress;
-
-  void observe(const std::string& hb_path) {
-    if (const auto hb = read_heartbeat(hb_path))
-      if (hb->beats > last_beats) {
-        last_beats = hb->beats;
-        last_progress = Clock::now();
-      }
-  }
-
-  bool stalled(double timeout, Clock::time_point spawn) const {
-    if (timeout <= 0.0) return false;
-    if (last_beats > 0) return seconds_since(last_progress) > timeout;
-    return seconds_since(spawn) > timeout;  // daemon workers always beat
-  }
-
-  std::string describe(Clock::time_point spawn) const {
-    if (last_beats > 0)
-      return "heartbeat stuck at beat " + std::to_string(last_beats) +
-             " for " + fmt_seconds(seconds_since(last_progress)) + " s";
-    return "no heartbeat " + fmt_seconds(seconds_since(spawn)) +
-           " s after spawn";
-  }
-};
 
 constexpr const char* kQueueHeader = "#am-sweepd-queue v1";
 
@@ -174,32 +134,6 @@ std::optional<DaemonReply> parse_reply(const std::string& text) {
   return reply;
 }
 
-void FairShareScheduler::add(std::uint64_t job) {
-  for (const auto j : order_)
-    if (j == job) return;
-  order_.push_back(job);
-}
-
-void FairShareScheduler::remove(std::uint64_t job) {
-  for (auto it = order_.begin(); it != order_.end(); ++it)
-    if (*it == job) {
-      order_.erase(it);
-      return;
-    }
-}
-
-std::optional<std::uint64_t> FairShareScheduler::pick(
-    const std::function<bool(std::uint64_t)>& has_work) {
-  for (std::size_t i = 0; i < order_.size(); ++i)
-    if (has_work(order_[i])) {
-      const std::uint64_t job = order_[i];
-      order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(i));
-      order_.push_back(job);
-      return job;
-    }
-  return std::nullopt;
-}
-
 SweepDaemon::SweepDaemon(SweepDaemonOptions opts) : opts_(std::move(opts)) {
   if (opts_.socket_path.empty())
     throw std::invalid_argument("amsweepd: socket path is required");
@@ -277,9 +211,6 @@ struct Job {
   std::vector<bool> point_done;
   std::size_t done_points = 0;
   std::size_t executed = 0;
-  std::vector<std::size_t> failures;   // per-point crash charges
-  std::deque<WorkLease> batch_queue;   // pending batches (plan indices)
-  std::size_t outstanding = 0;         // batches currently leased
   bool admitted = false;
   std::unique_ptr<ExperimentPlan> plan;
   std::unique_ptr<SweepRunner> runner;
@@ -288,25 +219,6 @@ struct Job {
     return state == JobState::kDone || state == JobState::kFailed ||
            state == JobState::kCancelled;
   }
-};
-
-/// One worker slot, mirroring the orchestrator's lease-mode slot.
-struct Slot {
-  Subprocess proc;
-  bool live = false;
-  bool ever_spawned = false;
-  bool done_offered = false;
-  std::string lease;      // lease-file path
-  WorkLease current;
-  bool has_current = false;
-  std::uint64_t job = 0;  // owner of `current`
-  Clock::time_point start;
-  BeatWatch watch;
-  bool stalled = false;
-  double busy_seconds = 0.0;
-  std::size_t batches = 0;
-  std::size_t points = 0;
-  std::size_t respawns = 0;
 };
 
 }  // namespace
@@ -325,14 +237,7 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
   // --- serving state -----------------------------------------------------
   std::map<std::uint64_t, Job> jobs;
   std::uint64_t next_job_id = 1;
-  std::uint64_t next_lease_id = 1;
-  FairShareScheduler scheduler;
   std::vector<std::unique_ptr<Conn>> conns;
-  std::vector<Slot> slots(opts_.workers);
-  for (std::size_t w = 0; w < slots.size(); ++w)
-    slots[w].lease = (std::filesystem::path(daemon_dir(dir)) /
-                      ("wrk" + std::to_string(w) + ".lease"))
-                         .string();
   bool queue_dirty = false;
 
   // --- persistence -------------------------------------------------------
@@ -461,8 +366,6 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
   const auto fail_job = [&](Job& job, const std::string& why) {
     job.state = JobState::kFailed;
     job.error = why;
-    job.batch_queue.clear();
-    scheduler.remove(job.id);
     ++report.jobs_failed;
     log << "job " << job.id << " (" << job.ns << "): failed — " << why
         << "\n";
@@ -507,7 +410,6 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
       ns.save(ns_path);
       ResultStore::load(ns_path);  // validate what we wrote
       job.state = JobState::kDone;
-      scheduler.remove(job.id);
       ++report.jobs_done;
       log << "job " << job.id << " (" << job.ns << "): done — " << job.points
           << " point(s), " << job.executed << " engine run(s) -> " << ns_path
@@ -518,6 +420,37 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
       fail_job(job, std::string("merge failed: ") + e.what());
     }
   };
+
+  // --- dispatch ----------------------------------------------------------
+  DispatchOptions dopts;
+  dopts.worker_command = opts_.worker_command;
+  for (std::size_t w = 0; w < opts_.workers; ++w)
+    dopts.lease_paths.push_back((std::filesystem::path(daemon_dir(dir)) /
+                                 ("wrk" + std::to_string(w) + ".lease"))
+                                    .string());
+  dopts.retries = opts_.retries;
+  dopts.batches = opts_.batches_per_job;
+  dopts.stall_timeout_seconds = opts_.stall_timeout_seconds;
+  DispatchHooks hooks;
+  hooks.acked = [&](std::uint64_t id, const WorkLease& lease,
+                    const LeaseAck& ack) {
+    report.engine_runs += ack.executed;
+    Job& job = jobs.at(id);
+    job.executed += ack.executed;
+    for (const std::size_t p : lease.points)
+      if (!job.point_done[p]) {
+        job.point_done[p] = true;
+        ++job.done_points;
+      }
+    queue_dirty = true;
+  };
+  hooks.completed = [&](std::uint64_t id) {
+    if (jobs.at(id).state == JobState::kRunning) finalize_job(jobs.at(id));
+  };
+  hooks.failed = [&](std::uint64_t id, const std::string& why) {
+    fail_job(jobs.at(id), why);
+  };
+  LeaseDispatcher dispatcher(std::move(dopts), std::move(hooks));
 
   /// Builds the executable plan and splits its *pending* points into
   /// fair-share batches. Called once per job when worker slots exist.
@@ -541,7 +474,6 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
         job.point_done.assign(job.points, false);
         job.done_points = 0;
       }
-      job.failures.assign(job.points, 0);
     } catch (const std::exception& e) {
       fail_job(job, std::string("plan rejected: ") + e.what());
       return;
@@ -554,33 +486,24 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
       finalize_job(job);
       return;
     }
-    // Size-aware batches over the pending subset; measured run times in
-    // the namespace store (or seeded caches) sharpen the split.
+    // Measured run times in the namespace store (or seeded caches)
+    // sharpen the batch split.
     std::vector<double> costs;
     try {
       const ResultStore ns = ResultStore::load_or_empty(
           namespace_store_path(dir, job.ns));
-      const std::vector<double> all = job.runner->estimate_costs(*job.plan,
-                                                                 &ns);
-      for (const std::size_t p : pending) costs.push_back(all[p]);
+      costs = job.runner->estimate_costs(*job.plan, &ns);
     } catch (const std::exception&) {
       costs.clear();  // cost model is advisory; uniform is always safe
     }
-    std::size_t target = opts_.batches_per_job != 0 ? opts_.batches_per_job
-                                                    : opts_.workers * 2;
-    target = std::min(std::max<std::size_t>(target, 1), pending.size());
-    auto batches = make_batches(pending.size(), target, costs);
-    for (auto& b : batches) {
-      if (b.empty()) continue;
-      for (auto& p : b.points) p = pending[p];  // map back to plan indices
-      job.batch_queue.push_back(std::move(b));
-    }
+    const std::size_t batches = dispatcher.add_job(
+        job.id, job.points, pending, costs, job_spec_path(dir, job.id),
+        namespace_store_path(dir, job.ns));
     job.state = JobState::kRunning;
-    scheduler.add(job.id);
     queue_dirty = true;
     log << "job " << job.id << " (" << job.ns << "): admitted — "
-        << pending.size() << " pending point(s) in "
-        << job.batch_queue.size() << " batch(es)\n";
+        << pending.size() << " pending point(s) in " << batches
+        << " batch(es)\n";
   };
 
   // --- frame handling ----------------------------------------------------
@@ -675,8 +598,7 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
           send_reply(conn, r);
         } else {
           job.state = JobState::kCancelled;
-          job.batch_queue.clear();
-          scheduler.remove(job.id);
+          dispatcher.drop_job(job.id);
           log << "job " << job.id << " (" << job.ns << "): cancelled\n";
           notify_terminal(job);
           queue_dirty = true;
@@ -730,73 +652,6 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
       << "retries " << opts_.retries << "\n";
 
   // --- serving loop ------------------------------------------------------
-  const auto has_batch = [&](std::uint64_t id) {
-    const auto it = jobs.find(id);
-    return it != jobs.end() && !it->second.batch_queue.empty();
-  };
-  const auto offer_to = [&](Slot& s, std::size_t w, std::uint64_t jid) {
-    Job& job = jobs.at(jid);
-    WorkLease lease = std::move(job.batch_queue.front());
-    job.batch_queue.pop_front();
-    lease.id = next_lease_id++;
-    LeaseOffer off;
-    off.lease = lease;
-    off.plan_path = job_spec_path(dir, jid);
-    off.store_path = lease_store_path(s.lease);
-    off.seed_store_path = namespace_store_path(dir, job.ns);
-    write_lease_offer(s.lease, off);
-    s.current = std::move(lease);
-    s.has_current = true;
-    s.job = jid;
-    ++job.outstanding;
-    log << "worker " << w << ": lease " << s.current.id << " -> job " << jid
-        << " (" << s.current.points.size() << " point(s))\n";
-  };
-  const auto requeue_current = [&](Slot& s, std::size_t w) {
-    const auto it = jobs.find(s.job);
-    if (it != jobs.end()) {
-      Job& job = it->second;
-      --job.outstanding;
-      if (!job.terminal()) {
-        std::vector<std::size_t> survivors;
-        std::size_t dead = 0;
-        for (const std::size_t p : s.current.points) {
-          if (++job.failures[p] > opts_.retries)
-            ++dead;
-          else
-            survivors.push_back(p);
-        }
-        if (dead > 0) {
-          fail_job(job, std::to_string(dead) +
-                            " point(s) exhausted their retry budget");
-        } else if (!survivors.empty()) {
-          // Bisect on requeue, like the orchestrator: repeated crashes
-          // home in on a poison point instead of re-charging the whole
-          // batch every time.
-          const std::size_t half = survivors.size() / 2;
-          const double per_point =
-              s.current.cost /
-              static_cast<double>(std::max<std::size_t>(
-                  s.current.points.size(), 1));
-          WorkLease front_half, back_half;
-          front_half.points.assign(survivors.begin(),
-                                   survivors.begin() + half);
-          back_half.points.assign(survivors.begin() + half, survivors.end());
-          for (auto* part : {&back_half, &front_half}) {
-            if (part->empty()) continue;
-            part->cost =
-                per_point * static_cast<double>(part->points.size());
-            job.batch_queue.push_front(std::move(*part));
-          }
-          log << "worker " << w << ": requeued lease " << s.current.id
-              << " for job " << s.job << "\n";
-        }
-      }
-    }
-    s.has_current = false;
-    s.current = WorkLease{};
-  };
-
   while (true) {
     // Acquire pairs with request_drain()'s release store (see daemon.hpp).
     const bool draining = drain_.load(std::memory_order_acquire);
@@ -870,163 +725,12 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
           progressed = true;
         }
 
-    // Fill worker slots: fair-share pick across jobs with pending work.
-    for (std::size_t w = 0; w < slots.size(); ++w) {
-      Slot& s = slots[w];
-      if (s.live || draining) continue;
-      const auto jid = scheduler.pick(has_batch);
-      if (!jid) break;  // nobody has pending batches
-      std::error_code ec;
-      std::filesystem::remove(s.lease, ec);
-      std::filesystem::remove(lease_ack_path(s.lease), ec);
-      std::filesystem::remove(lease_heartbeat_path(s.lease), ec);
-      offer_to(s, w, *jid);
-      auto argv = opts_.worker_command;
-      argv.push_back("--lease");
-      argv.push_back(s.lease);
-      try {
-        Subprocess::Options spawn_opts;
-        spawn_opts.stdout_path = s.lease + ".log";
-        spawn_opts.new_process_group = true;
-        s.proc = Subprocess::spawn(argv, spawn_opts);
-      } catch (const std::exception& e) {
-        // Unspawnable worker command: nothing will ever run. Fail the
-        // job holding the lease; the operator fixes the command.
-        log << "worker " << w << ": " << e.what() << "\n";
-        const auto it = jobs.find(s.job);
-        requeue_current(s, w);
-        if (it != jobs.end() && !it->second.terminal())
-          fail_job(it->second,
-                   std::string("worker command unspawnable: ") + e.what());
-        continue;
-      }
-      s.start = Clock::now();
-      s.watch = BeatWatch{};
-      s.watch.last_progress = s.start;
-      s.stalled = false;
-      s.done_offered = false;
-      if (s.ever_spawned) ++s.respawns;
-      s.ever_spawned = true;
-      s.live = true;
-      progressed = true;
-      log << "worker " << w << ": launched (pid " << s.proc.pid() << ")\n";
-    }
+    // Dispatch: fair-share across jobs with queued batches. Draining
+    // dispatches nothing new: in-flight leases finish, queued batches
+    // persist for the next daemon to resume.
+    if (dispatcher.step(!draining, log)) progressed = true;
 
-    // Poll the fleet.
-    bool any_live = false;
-    for (std::size_t w = 0; w < slots.size(); ++w) {
-      Slot& s = slots[w];
-      if (!s.live) continue;
-      s.watch.observe(lease_heartbeat_path(s.lease));
-      if (!s.stalled &&
-          s.watch.stalled(opts_.stall_timeout_seconds, s.start)) {
-        log << "worker " << w << ": " << s.watch.describe(s.start)
-            << " — killing pid " << s.proc.pid() << "\n";
-        s.stalled = true;
-        s.proc.kill();
-      }
-
-      const auto ack = read_lease_ack(lease_ack_path(s.lease));
-      if (ack && s.has_current && ack->lease_id == s.current.id) {
-        progressed = true;
-        s.watch.last_progress = Clock::now();
-        s.busy_seconds += ack->wall_seconds;
-        s.batches += 1;
-        s.points += ack->points;
-        report.engine_runs += ack->executed;
-        const auto it = jobs.find(s.job);
-        if (it != jobs.end()) {
-          Job& job = it->second;
-          --job.outstanding;
-          job.executed += ack->executed;
-          for (const std::size_t p : s.current.points)
-            if (p < job.point_done.size() && !job.point_done[p]) {
-              job.point_done[p] = true;
-              ++job.done_points;
-            }
-          queue_dirty = true;
-          log << "worker " << w << ": lease " << s.current.id << " done ("
-              << ack->points << " point(s), " << ack->executed
-              << " engine run(s), " << fmt_seconds(ack->wall_seconds)
-              << " s)\n";
-          s.has_current = false;
-          s.current = WorkLease{};
-          if (job.state == JobState::kRunning &&
-              job.done_points == job.points && job.outstanding == 0 &&
-              job.batch_queue.empty())
-            finalize_job(job);
-        } else {
-          s.has_current = false;
-          s.current = WorkLease{};
-        }
-      }
-
-      if (s.proc.running()) {
-        if (!s.has_current && !s.done_offered) {
-          // Draining dispatches nothing new: in-flight leases finish,
-          // queued batches persist for the next daemon to resume.
-          if (const auto jid = draining ? std::optional<std::uint64_t>{}
-                                        : scheduler.pick(has_batch)) {
-            offer_to(s, w, *jid);
-            progressed = true;
-          } else if (draining) {
-            WorkLease done;
-            done.id = next_lease_id++;
-            LeaseOffer off;
-            off.lease = done;
-            off.done = true;
-            write_lease_offer(s.lease, off);
-            s.done_offered = true;
-            progressed = true;
-          }
-          // Otherwise: leave the acked offer in place; an idle worker
-          // polls it ("no new work yet") until a submission arrives.
-        }
-        any_live = true;
-        continue;
-      }
-
-      // Process exited; the ack block above already judged any receipt
-      // it wrote on the way out.
-      progressed = true;
-      s.live = false;
-      // Already reaped (running() returned false); wait() hands back the
-      // cached status instead of dereferencing the optional unchecked.
-      const ExitStatus status = s.proc.wait();
-      if (!status.signaled && status.code == 2) {
-        // Usage rejection: this worker cannot run this offer, and no
-        // retry will change that — but unlike the one-shot
-        // orchestrator, the daemon fails only the job holding the
-        // lease; other tenants keep their fleet.
-        const auto it = jobs.find(s.job);
-        const bool had = s.has_current;
-        if (had) {
-          if (it != jobs.end()) --it->second.outstanding;
-          s.has_current = false;
-          s.current = WorkLease{};
-        }
-        if (had && it != jobs.end() && !it->second.terminal())
-          fail_job(it->second, "worker rejected the lease (" +
-                                   status.describe() + ") — see " + s.lease +
-                                   ".log");
-        else
-          log << "worker " << w << ": " << status.describe()
-              << " while idle\n";
-      } else if (s.has_current) {
-        log << "worker " << w << ": " << status.describe()
-            << " holding lease " << s.current.id << "\n";
-        requeue_current(s, w);
-      } else if (status.success() && s.done_offered) {
-        log << "worker " << w << ": drained in "
-            << fmt_seconds(seconds_since(s.start)) << " s (" << s.batches
-            << " batch(es), " << fmt_seconds(s.busy_seconds) << " s busy)\n";
-      } else {
-        log << "worker " << w << ": " << status.describe()
-            << " while idle\n";
-      }
-    }
-
-    if (draining && !any_live) break;
+    if (draining && !dispatcher.any_live()) break;
 
     if (queue_dirty) {
       try {
@@ -1098,21 +802,14 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
       out << "job\t" << j.id << '\t' << j.ns << '\t'
           << job_state_name(j.state) << '\t' << j.points << '\t'
           << j.done_points << '\t' << j.executed << '\t' << j.error << '\n';
-    double busy_max = 0.0, busy_sum = 0.0;
-    std::size_t busy_n = 0;
-    for (std::size_t w = 0; w < slots.size(); ++w) {
-      const Slot& s = slots[w];
-      if (!s.ever_spawned) continue;
-      out << "worker\t" << w << '\t' << fmt_seconds(s.busy_seconds) << '\t'
-          << s.batches << '\t' << s.points << '\t' << s.respawns << '\n';
-      busy_max = std::max(busy_max, s.busy_seconds);
-      busy_sum += s.busy_seconds;
-      ++busy_n;
-    }
-    if (busy_n > 0 && busy_sum > 0.0) {
+    const auto stats = dispatcher.worker_stats();
+    for (const auto& ws : stats)
+      out << "worker\t" << ws.worker << '\t' << fmt_seconds(ws.busy_seconds)
+          << '\t' << ws.batches << '\t' << ws.points << '\t' << ws.respawns
+          << '\n';
+    if (const double balance = busy_max_over_mean(stats); balance > 0.0) {
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.4f",
-                    busy_max / (busy_sum / static_cast<double>(busy_n)));
+      std::snprintf(buf, sizeof(buf), "%.4f", balance);
       out << "busy_max_over_mean\t" << buf << '\n';
     }
     atomic_write_file(manifest_path(dir), out.str(), "sweepd-manifest");
@@ -1127,8 +824,8 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
   return report;
 }
 
-DaemonWorkerReport run_daemon_worker(const DaemonWorkerOptions& opts,
-                                     std::ostream& log) {
+LeaseWorkerReport run_daemon_worker(const DaemonWorkerOptions& opts,
+                                    std::ostream& log) {
   if (opts.lease_path.empty())
     throw std::invalid_argument("daemon worker: --lease path is required");
 
@@ -1137,33 +834,9 @@ DaemonWorkerReport run_daemon_worker(const DaemonWorkerOptions& opts,
     ExperimentPlan plan;
   };
   std::map<std::string, CachedPlan> plans;
-
   HeartbeatWriter heartbeat(lease_heartbeat_path(opts.lease_path));
-  DaemonWorkerReport report;
-  std::optional<std::uint64_t> last_acked;
-  auto last_activity = Clock::now();
-  for (;;) {
-    const auto offer = read_lease_offer(opts.lease_path);
-    const bool fresh =
-        offer && (!last_acked || offer->lease.id != *last_acked);
-    if (!fresh) {
-      if (opts.idle_timeout_seconds > 0.0 &&
-          seconds_since(last_activity) > opts.idle_timeout_seconds)
-        throw std::runtime_error("daemon worker: no offer for " +
-                                 std::to_string(opts.idle_timeout_seconds) +
-                                 " s — daemon gone?");
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(opts.poll_seconds));
-      continue;
-    }
-    last_activity = Clock::now();
-    if (offer->done) {
-      log << "daemon queue drained: " << report.leases << " lease(s), "
-          << report.points << " point(s), " << report.executed
-          << " engine run(s)\n";
-      return report;
-    }
 
+  const auto run = [&](const LeaseOffer& offer) {
     if (!opts.test_crash_marker.empty() &&
         std::filesystem::exists(opts.test_crash_marker)) {
       // Deterministic fault injection: the first worker to claim a
@@ -1174,66 +847,49 @@ DaemonWorkerReport run_daemon_worker(const DaemonWorkerOptions& opts,
       log.flush();
       std::raise(SIGKILL);
     }
-
-    if (offer->plan_path.empty() || offer->store_path.empty())
+    if (offer.plan_path.empty() || offer.store_path.empty())
       throw std::invalid_argument(
           "daemon worker: offer carries no plan/store path — not a daemon "
           "scheduler?");
 
-    auto cached = plans.find(offer->plan_path);
+    auto cached = plans.find(offer.plan_path);
     if (cached == plans.end()) {
-      std::ifstream in(offer->plan_path);
+      std::ifstream in(offer.plan_path);
       if (!in)
         throw std::runtime_error("daemon worker: cannot read plan " +
-                                 offer->plan_path);
+                                 offer.plan_path);
       std::stringstream text;
       text << in.rdbuf();
       CachedPlan cp;
       cp.spec = parse_plan_spec(text.str());  // invalid_argument = usage
       cp.plan = build_plan(cp.spec);
-      cached = plans.emplace(offer->plan_path, std::move(cp)).first;
+      cached = plans.emplace(offer.plan_path, std::move(cp)).first;
     }
     const CachedPlan& cp = cached->second;
 
-    const auto t0 = Clock::now();
-    ResultStore store = ResultStore::load_or_empty(offer->store_path);
-    if (!offer->seed_store_path.empty())
-      store.merge(ResultStore::load_or_empty(offer->seed_store_path));
+    ResultStore store = ResultStore::load_or_empty(offer.store_path);
+    if (!offer.seed_store_path.empty())
+      store.merge(ResultStore::load_or_empty(offer.seed_store_path));
 
     // Per-point checkpointing (throttled): a SIGKILL mid-batch loses at
-    // most a second of finished engine runs, so the daemon's requeue
-    // re-runs mostly cache hits.
-    auto last_save = Clock::now();
-    bool first_save = true;
-    const std::string store_path = offer->store_path;
-    SweepRunner runner = make_runner(
-        cp.spec, [&last_save, &first_save, &store_path](const ResultStore& s) {
-          if (first_save || seconds_since(last_save) >= 1.0) {
-            s.save(store_path);
+    // most a second of finished engine runs, so the requeue re-runs
+    // mostly cache hits.
+    std::optional<Clock::time_point> last_save;
+    const std::string& path = offer.store_path;
+    const SweepRunner runner =
+        make_runner(cp.spec, [&last_save, &path](const ResultStore& s) {
+          if (!last_save || seconds_since(*last_save) >= 1.0) {
+            s.save(path);
             last_save = Clock::now();
-            first_save = false;
           }
         });
-
     std::size_t executed = 0;
-    runner.run_points(cp.plan, nullptr, &store, offer->lease.points,
+    runner.run_points(cp.plan, nullptr, &store, offer.lease.points,
                       &executed);
-    store.save(store_path);  // durable strictly before the receipt
-    LeaseAck ack;
-    ack.lease_id = offer->lease.id;
-    ack.points = offer->lease.points.size();
-    ack.executed = executed;
-    ack.wall_seconds = seconds_since(t0);
-    write_lease_ack(lease_ack_path(opts.lease_path), ack);
-
-    last_activity = Clock::now();
-    last_acked = offer->lease.id;
-    report.leases += 1;
-    report.points += ack.points;
-    report.executed += executed;
-    log << "lease " << offer->lease.id << ": " << ack.points << " point(s), "
-        << executed << " engine run(s)\n";
-  }
+    store.save(path);  // durable strictly before the receipt
+    return executed;
+  };
+  return run_offer_loop(opts.lease_path, run, log, opts);
 }
 
 DaemonClient DaemonClient::connect_unix(const std::string& socket_path,

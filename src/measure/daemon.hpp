@@ -3,10 +3,11 @@
 // service. A SweepDaemon listens on a Unix-domain (and optionally
 // loopback-TCP) socket for framed protocol messages (common/socket),
 // accepts serialized ExperimentPlans (measure/plan_wire) from
-// concurrent submitters, and feeds them through the same lease-file
-// worker handoff the one-shot orchestrator uses — supervised worker
-// processes, beat-sequence liveness, crash requeue with bisection,
-// per-point retry budgets. What the daemon adds on top:
+// concurrent submitters, and drives the lease-dispatch core
+// (measure/dispatch.hpp) with one job per accepted plan — the same
+// supervised workers, beat-sequence liveness, crash requeue with
+// bisection and per-point retry budgets `amsweep` uses. What the
+// daemon adds on top:
 //
 //   * Tenancy: every submission names a namespace; a job's results are
 //     merged into <results_dir>/ns-<namespace>.tsv and only records
@@ -38,14 +39,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/socket.hpp"
+#include "measure/dispatch.hpp"
+#include "measure/lease.hpp"
 #include "measure/plan_wire.hpp"
 
 namespace am::measure {
@@ -86,34 +87,15 @@ std::string encode_reply(const DaemonReply& reply);
 /// Parses encode_reply output; nullopt on anything malformed.
 std::optional<DaemonReply> parse_reply(const std::string& text);
 
-/// Least-recently-granted round-robin over job ids. pick() scans jobs
-/// in grant order and returns the first for which `has_work` is true,
-/// moving it to the back. Newly added jobs join the back (they wait at
-/// most one full rotation). The fairness bound: between two
-/// consecutive grants to a job that had work the whole time, every
-/// other job is granted at most once — pick() can only pass over a
-/// job when has_work said it had nothing to run.
-class FairShareScheduler {
- public:
-  void add(std::uint64_t job);
-  void remove(std::uint64_t job);
-  std::optional<std::uint64_t> pick(
-      const std::function<bool(std::uint64_t)>& has_work);
-  const std::deque<std::uint64_t>& order() const { return order_; }
-
- private:
-  std::deque<std::uint64_t> order_;
-};
-
 struct SweepDaemonOptions {
   std::string socket_path;
   /// Loopback TCP listener: -1 = off, 0 = kernel-assigned (the chosen
   /// port lands in <daemon_dir>/tcp.port), otherwise the port itself.
   int tcp_port = -1;
   std::string results_dir;
-  /// Worker command prefix; the daemon appends `--lease <file>`. Must
-  /// speak the daemon-worker protocol (run_daemon_worker): the offer
-  /// itself carries the plan and store paths. Empty = invalid.
+  /// Worker command prefix; the dispatcher appends `--lease <file>`.
+  /// Must speak the daemon-worker protocol (run_daemon_worker): the
+  /// offer itself carries the plan and store paths. Empty = invalid.
   std::vector<std::string> worker_command;
   /// Concurrent worker slots. 0 = accept-only: jobs queue up but never
   /// dispatch — the deterministic substrate for queue-file tests and
@@ -122,8 +104,8 @@ struct SweepDaemonOptions {
   /// Extra attempts per plan point beyond the first, charged whenever a
   /// lease holding the point dies.
   std::size_t retries = 1;
-  /// Batches each job is split into (0 = auto: enough for every slot to
-  /// interleave, workers * 2). Clamped to the job's plan size.
+  /// Batches each job is split into (0 = auto, see
+  /// DispatchOptions::batches). Clamped to the job's pending points.
   std::size_t batches_per_job = 0;
   double poll_seconds = 0.02;
   /// Kill a worker whose beat sequence stalls this long (0 = disabled).
@@ -196,34 +178,23 @@ class SweepDaemon {
 /// Options for the worker half (`amsweepd --worker`). The worker knows
 /// nothing about jobs or namespaces: it polls one lease file, and every
 /// offer names the plan to parse and the store to extend.
-struct DaemonWorkerOptions {
+struct DaemonWorkerOptions : LeaseWorkerOptions {
   std::string lease_path;
-  double poll_seconds = 0.02;
-  /// Give up when no fresh offer arrives for this long (0 = disabled);
-  /// an orphaned worker must not poll forever.
-  double idle_timeout_seconds = 600.0;
   /// Fault injection: when this file exists at batch-claim time, the
   /// worker deletes it and raises SIGKILL — at most one worker dies per
   /// marker file, deterministically, mid-lease.
   std::string test_crash_marker;
 };
 
-struct DaemonWorkerReport {
-  std::size_t leases = 0;
-  std::size_t points = 0;
-  std::size_t executed = 0;
-};
-
-/// Runs the daemon-worker loop until a `done` offer: per fresh offer,
-/// parse the offered plan (cached per plan path — fair-share dispatch
-/// interleaves jobs on one slot), seed the cache from the offer's
-/// seed store, run the leased points, persist the slot store, ack.
-/// Durable results strictly precede every ack. Throws
+/// Runs run_offer_loop with a heartbeat, per fresh offer: parse the
+/// offered plan (cached per plan path — fair-share dispatch interleaves
+/// jobs on one slot), seed the cache from the offer's seed store, run
+/// the leased points, persist the offer's store. Throws
 /// std::invalid_argument on a malformed offer/plan (usage — exit 2 in
 /// the binary) and std::runtime_error on idle timeout or I/O failure
 /// (retryable — exit 3).
-DaemonWorkerReport run_daemon_worker(const DaemonWorkerOptions& opts,
-                                     std::ostream& log);
+LeaseWorkerReport run_daemon_worker(const DaemonWorkerOptions& opts,
+                                    std::ostream& log);
 
 /// Client side of the protocol: one blocking request-reply per call.
 /// Every method throws SocketError on transport failure and

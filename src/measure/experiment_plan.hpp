@@ -90,7 +90,7 @@ class ExperimentPlan {
   std::vector<std::size_t> shard(std::size_t index, std::size_t count) const;
 
   /// Splits the plan into `count` size-aware batches for dynamic
-  /// scheduling (measure::SweepOrchestrator leases them to workers).
+  /// scheduling (measure::LeaseDispatcher leases them to workers).
   /// `costs`, when non-empty, gives each plan index a relative cost
   /// (size() entries, finite and >= 0 — see SweepRunner::estimate_costs);
   /// empty means uniform. Assignment is greedy LPT: points in descending
@@ -192,7 +192,7 @@ class SweepRunner {
                   std::size_t* executed = nullptr) const;
 
   /// The general form every run() overload reduces to: run exactly the
-  /// plan indices in `owned` (any subset — a static shard slice or a
+  /// plan indices in `owned` (any subset — a --shard slice or a
   /// leased batch). Each fresh run is recorded into `store` together with
   /// its wall-clock (ResultStore run times feed estimate_costs). Throws
   /// std::invalid_argument on an out-of-range or duplicate index.

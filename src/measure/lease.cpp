@@ -1,12 +1,11 @@
 #include "measure/lease.hpp"
 
-#include <chrono>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
 
-#include "common/work_lease.hpp"
+#include "measure/dispatch.hpp"
 
 namespace am::measure {
 
@@ -28,6 +27,53 @@ SchedulingFlags parse_scheduling_flags(const Cli& cli) {
   return flags;
 }
 
+LeaseWorkerReport run_offer_loop(const std::string& lease_path,
+                                 const OfferRunner& run, std::ostream& out,
+                                 const LeaseWorkerOptions& opts) {
+  using Clock = std::chrono::steady_clock;
+  LeaseWorkerReport report;
+  std::optional<std::uint64_t> last_acked;
+  // Last time anything happened: a fresh offer arrived or a batch
+  // finished. Only genuine waiting counts against the idle timeout — a
+  // batch's own (arbitrarily long) execution never may.
+  auto last_activity = Clock::now();
+  for (;;) {
+    const auto offer = read_lease_offer(lease_path);
+    if (!offer || (last_acked && offer->lease.id == *last_acked)) {
+      if (opts.idle_timeout_seconds > 0.0 &&
+          seconds_since(last_activity) > opts.idle_timeout_seconds)
+        throw std::runtime_error("lease worker: no offer for " +
+                                 std::to_string(opts.idle_timeout_seconds) +
+                                 " s — scheduler gone?");
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(opts.poll_seconds));
+      continue;
+    }
+    if (offer->done) {
+      out << "lease queue drained: " << report.leases << " lease(s), "
+          << report.points << " point(s), " << report.executed
+          << " engine run(s)\n";
+      return report;
+    }
+
+    const auto t0 = Clock::now();
+    LeaseAck ack;
+    ack.lease_id = offer->lease.id;
+    ack.points = offer->lease.points.size();
+    ack.executed = run(*offer);
+    ack.wall_seconds = seconds_since(t0);
+    write_lease_ack(lease_ack_path(lease_path), ack);
+
+    last_activity = Clock::now();
+    last_acked = ack.lease_id;
+    report.leases += 1;
+    report.points += ack.points;
+    report.executed += ack.executed;
+    out << "lease " << ack.lease_id << ": " << ack.points << " point(s), "
+        << ack.executed << " engine run(s)\n";
+  }
+}
+
 LeaseWorkerReport run_lease_worker(const ExperimentPlan& plan,
                                    const SweepRunner& runner,
                                    ThreadPool* pool, ResultStoreFile& store,
@@ -38,60 +84,35 @@ LeaseWorkerReport run_lease_worker(const ExperimentPlan& plan,
     throw std::invalid_argument(
         "lease worker: a result store is required — leased results only "
         "exist as store records");
+  return run_offer_loop(
+      lease_path,
+      [&](const LeaseOffer& offer) {
+        std::size_t executed = 0;
+        runner.run_points(plan, pool, store.store(), offer.lease.points,
+                          &executed);
+        store.save();
+        return executed;
+      },
+      out, opts);
+}
 
-  using Clock = std::chrono::steady_clock;
-  LeaseWorkerReport report;
-  std::optional<std::uint64_t> last_acked;
-  // Last time anything happened: a fresh offer arrived or a batch
-  // finished. Only genuine waiting counts against the idle timeout — a
-  // batch's own (arbitrarily long) execution never may.
-  auto last_activity = Clock::now();
-  for (;;) {
-    const auto offer = read_lease_offer(lease_path);
-    const bool fresh =
-        offer && (!last_acked || offer->lease.id != *last_acked);
-    if (!fresh) {
-      if (opts.idle_timeout_seconds > 0.0 &&
-          std::chrono::duration<double>(Clock::now() - last_activity)
-                  .count() > opts.idle_timeout_seconds)
-        throw std::runtime_error(
-            "lease worker: no offer for " +
-            std::to_string(opts.idle_timeout_seconds) +
-            " s — scheduler gone?");
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(opts.poll_seconds));
-      continue;
-    }
-    last_activity = Clock::now();
-    if (offer->done) {
-      out << "lease queue drained: " << report.leases << " lease(s), "
-          << report.points << " point(s), " << report.executed
-          << " engine run(s)\n";
-      return report;
-    }
+ResultStoreFile scheduling_store(const std::string& results_dir,
+                                 const std::string& driver,
+                                 const SchedulingFlags& flags) {
+  if (!flags.lease_path.empty())
+    return ResultStoreFile::for_lease(results_dir, driver, flags.lease_path);
+  return ResultStoreFile(results_dir, driver, flags.shard);
+}
 
-    const auto t0 = Clock::now();
-    std::size_t executed = 0;
-    runner.run_points(plan, pool, store.store(), offer->lease.points,
-                      &executed);
-    store.save();  // durable before the ack — a crash here only re-runs
-                   // a fully cached batch
-    LeaseAck ack;
-    ack.lease_id = offer->lease.id;
-    ack.points = offer->lease.points.size();
-    ack.executed = executed;
-    ack.wall_seconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    write_lease_ack(lease_ack_path(lease_path), ack);
-
-    last_activity = Clock::now();  // the batch ran; we were never idle
-    last_acked = offer->lease.id;
-    report.leases += 1;
-    report.points += ack.points;
-    report.executed += executed;
-    out << "lease " << offer->lease.id << ": " << ack.points
-        << " point(s), " << executed << " engine run(s)\n";
-  }
+std::unique_ptr<HeartbeatWriter> start_worker_heartbeat(
+    const Cli& cli, const SchedulingFlags& flags) {
+  if (!cli.get_bool("worker", false)) return nullptr;
+  if (flags.lease_path.empty())
+    throw std::invalid_argument(
+        "--worker requires --lease: a worker's heartbeat lives next to its "
+        "lease file");
+  return std::make_unique<HeartbeatWriter>(
+      lease_heartbeat_path(flags.lease_path));
 }
 
 void emit_plan_info(const ExperimentPlan& plan, const SweepRunner& runner,

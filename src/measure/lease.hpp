@@ -1,27 +1,36 @@
 #pragma once
-// The worker half of dynamic work-queue scheduling.
+// The worker half of lease dispatch (measure/dispatch.hpp).
 //
-// A lease worker is a figure driver started with `--lease <file>`
-// instead of `--shard i/n`: rather than owning a fixed slice chosen at
-// spawn, it loops pulling batches of plan points from its scheduler
-// (measure::SweepOrchestrator) through the lease file until the
-// scheduler says the queue is drained. Per batch: read the lease offer,
-// run the leased plan indices through the cache-aware SweepRunner,
-// persist the store, acknowledge — durable results strictly before the
-// receipt, so a crash between the two merely re-runs a fully cached
-// batch. Determinism is untouched: leased points keep their plan
-// indices (and so their seeds and store keys), making the merged store
-// bit-identical to a serial run however the batches were scheduled.
+// A lease worker is started with `--lease <file>`: it loops pulling
+// batches of plan points from its dispatcher through the lease file
+// until the dispatcher says the queue is drained. Per batch: read the
+// offer, run the leased plan indices, persist the store, acknowledge —
+// durable results strictly before the receipt, so a crash between the
+// two merely re-runs a fully cached batch. Two kinds of worker share
+// that loop (run_offer_loop): a figure driver under `amsweep`, which
+// knows its own plan (run_lease_worker), and `amsweepd --worker`, which
+// learns the plan from each offer (run_daemon_worker). Determinism is
+// untouched: leased points keep their plan indices (and so their seeds
+// and store keys), making every store bit-identical to a serial run
+// however the batches were scheduled.
 //
 // The probe half (`--emit-plan <file>`) writes the plan's size and
-// per-point cost estimates for the scheduler, which cannot construct
-// the plan itself — only the driver knows its grid.
+// per-point cost estimates for `amsweep`, which cannot construct the
+// plan itself — only the driver knows its grid.
+//
+// `--shard i/n` is the manual alternative for hosts that share no
+// filesystem: each host runs a fixed round-robin slice into its own
+// store, and `amresult merge` joins them.
 #include <cstddef>
+#include <functional>
 #include <iosfwd>
+#include <memory>
 #include <string>
 
 #include "common/cli.hpp"
+#include "common/heartbeat.hpp"
 #include "common/thread_pool.hpp"
+#include "common/work_lease.hpp"
 #include "measure/experiment_plan.hpp"
 #include "measure/result_store.hpp"
 
@@ -31,7 +40,7 @@ namespace am::measure {
 /// most one of the three modes may be set; each fixes the invocation's
 /// entire control flow.
 struct SchedulingFlags {
-  ShardRange shard;            // --shard i/n: static slice
+  ShardRange shard;            // --shard i/n: manual slice
   std::string lease_path;      // --lease FILE: dynamic lease worker
   std::string emit_plan_path;  // --emit-plan FILE: scheduler probe
 };
@@ -60,12 +69,26 @@ struct LeaseWorkerReport {
   std::size_t executed = 0;  // engine runs (points minus cache hits)
 };
 
-/// Runs the lease-worker protocol to completion against the offer file
-/// at `lease_path`. `store` must be lease-bound (ResultStoreFile::
-/// for_lease on the same lease path) and is saved before every ack;
-/// progress lines stream to `out`. Returns on reading a `done` offer
-/// (which gets no ack — the caller's exit 0 is the receipt). Throws
-/// std::runtime_error on idle timeout and
+/// Runs one offer's points into a durable store and returns the engine
+/// runs executed (cache hits excluded). Must persist before returning:
+/// the ack that follows is the scheduler's receipt.
+using OfferRunner = std::function<std::size_t(const LeaseOffer& offer)>;
+
+/// The lease-worker protocol both worker kinds share: poll the offer
+/// file at `lease_path`, and per fresh offer (a lease id not yet
+/// acknowledged) run it through `run`, then write the ack — durable
+/// results strictly before the receipt, so a crash between the two
+/// merely re-runs a fully cached batch. Returns on reading a `done`
+/// offer (which gets no ack — the caller's exit 0 is the receipt).
+/// Progress lines stream to `out`. Throws std::runtime_error on idle
+/// timeout; exceptions from `run` propagate.
+LeaseWorkerReport run_offer_loop(const std::string& lease_path,
+                                 const OfferRunner& run, std::ostream& out,
+                                 const LeaseWorkerOptions& opts = {});
+
+/// The driver-side lease worker: run_offer_loop over `plan`, recording
+/// into `store`, which must be lease-bound (ResultStoreFile::for_lease on
+/// the same lease path) and is saved before every ack. Throws
 /// std::invalid_argument on a lease naming out-of-range plan indices
 /// (scheduler and worker disagree about the plan — a usage error, not
 /// retryable).
@@ -75,6 +98,20 @@ LeaseWorkerReport run_lease_worker(const ExperimentPlan& plan,
                                    const std::string& lease_path,
                                    std::ostream& out,
                                    const LeaseWorkerOptions& opts = {});
+
+/// The store backing one orchestratable invocation: the lease's own
+/// store under --lease (ResultStoreFile::for_lease), else the canonical
+/// file or the --shard slice's.
+ResultStoreFile scheduling_store(const std::string& results_dir,
+                                 const std::string& driver,
+                                 const SchedulingFlags& flags);
+
+/// The `--worker` liveness heartbeat of an orchestratable driver, next
+/// to its lease file; null without --worker. Throws
+/// std::invalid_argument for --worker without --lease: workers are lease
+/// workers, and the heartbeat lives next to the lease.
+std::unique_ptr<HeartbeatWriter> start_worker_heartbeat(
+    const Cli& cli, const SchedulingFlags& flags);
 
 /// Writes the scheduler probe file for `plan`: plan size plus
 /// SweepRunner::estimate_costs over `store` (nullptr = heuristic only).

@@ -427,7 +427,7 @@ TEST_F(SweepDaemonTest, WorkerExecutesOffersBitIdenticallyAndReusesCache) {
   wopts.poll_seconds = 0.002;
   wopts.idle_timeout_seconds = 60.0;
   std::ostringstream wlog;
-  DaemonWorkerReport wreport;
+  LeaseWorkerReport wreport;
   std::thread worker(
       [&] { wreport = run_daemon_worker(wopts, wlog); });
 

@@ -1,9 +1,10 @@
-// SweepOrchestrator failure-path coverage with /bin/sh stand-in workers:
-// real engine-running workers are exercised end to end by the
-// smoke.amsweep ctest entry; here the workers are tiny scripts so the
-// supervision logic (retry on kill, retry-budget exhaustion + manifest,
-// usage fail-fast, merge) is testable in milliseconds. The pre-created
-// shard store files play the part of a worker's persisted slice.
+// SweepOrchestrator coverage with /bin/sh stand-in workers: real
+// engine-running workers are exercised end to end by the smoke.amsweep
+// ctest entry; here the workers are tiny scripts that answer the plan
+// probe and speak the lease protocol, so the supervision logic (retry on
+// kill, retry-budget exhaustion + manifest, usage fail-fast, stall
+// kills, merge) is testable in milliseconds. A pre-built store file
+// plays the part of what a worker persists before acknowledging.
 #include "measure/orchestrator.hpp"
 
 #include <gtest/gtest.h>
@@ -30,6 +31,63 @@ SimRunResult result(double seconds) {
   return r;
 }
 
+/// A /bin/sh stand-in for a figure driver. The appended flags arrive as
+/// $1=--results-dir $2=<dir>, then $3=--emit-plan $4=<file> for the
+/// probe, which answers with a `points`-point plan, or $3=--worker
+/// $4=--lease $5=<file> for a worker, which runs `worker_body`.
+std::string stub(std::size_t points, const std::string& worker_body) {
+  return "case \"$3\" in\n"
+         "  --emit-plan)\n"
+         "    printf '#am-plan-info v1\\npoints\\t" +
+         std::to_string(points) +
+         "\\n' > \"$4.tmp\" && mv \"$4.tmp\" \"$4\"\n"
+         "    exit 0 ;;\n"
+         "  --worker)\n" +
+         worker_body +
+         " ;;\n"
+         "esac\n"
+         "exit 0\n";
+}
+
+/// A worker's lease loop: per fresh offer ($np = its point count), run
+/// `on_offer`, persist $2/worker-store.tsv as the lease's store (real
+/// workers save before acknowledging) unless `persist` is false, then
+/// acknowledge with 2 engine runs; exit 0 on the done offer.
+std::string lease_loop(const std::string& on_offer = "",
+                       bool persist = true) {
+  return R"sh(
+    lease=$5; last=
+    while :; do
+      if [ -f "$lease" ]; then
+        id=$(awk '$1=="lease"{print $2}' "$lease")
+        dn=$(awk '$1=="done"{print $2}' "$lease")
+        if [ -n "$id" ] && [ "$id" != "$last" ]; then
+          if [ "$dn" = "1" ]; then exit 0; fi
+          np=$(awk '$1=="points"{print NF-1}' "$lease")
+          )sh" +
+         on_offer + "\n" +
+         (persist ? R"sh(cp "$2/worker-store.tsv" "$lease.tsv")sh" : "") +
+         R"sh(
+          printf '#am-lease-ack v1\nlease\t%s\npoints\t%s\nexecuted\t2\nwall\t0.25\n' \
+            "$id" "$np" > "$lease.ack.tmp" && mv "$lease.ack.tmp" "$lease.ack"
+          last=$id
+        fi
+      fi
+      sleep 0.01
+    done)sh";
+}
+
+/// on_offer snippets: die as if SIGKILLed, or with the retryable exit
+/// code, on the first offer after the marker file appears; die on every
+/// offer holding plan point 1.
+constexpr const char* kKillOnMarker =
+    R"(if rm "$2/crash.marker" 2>/dev/null; then kill -9 $$; fi)";
+constexpr const char* kFailOnMarker =
+    R"(if rm "$2/poison.marker" 2>/dev/null; then exit 3; fi)";
+constexpr const char* kFailOnPoint1 =
+    R"(if awk '$1=="points"{for(i=2;i<=NF;i++) if ($i=="1") f=1})"
+    R"( END{exit !f}' "$lease"; then exit 3; fi)";
+
 class OrchestratorTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -41,35 +99,25 @@ class OrchestratorTest : public ::testing::Test {
             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
+    // What every stub worker persists: the records a real worker would
+    // have written for the plan.
+    ResultStore store;
+    store.put(key("workload-0", 1), result(0.1), "host-fp");
+    store.put(key("workload-1", 1), result(1.1), "host-fp");
+    store.save(dir() + "/worker-store.tsv");
   }
   void TearDown() override { fs::remove_all(dir_); }
 
   std::string dir() const { return dir_.string(); }
 
-  /// Pre-creates shard i/n's store file holding one record, as if a worker
-  /// had already persisted its slice.
-  void seed_shard_store(std::size_t i, std::size_t n) {
-    ResultStore store;
-    store.put(key("workload-" + std::to_string(i), 1), result(0.1 + i),
-              "host-fp");
-    store.save(store_path(dir(), "drv", {i, n}));
-  }
-
-  /// Options for sh-script workers: the script body receives the appended
-  /// shard flags as positional parameters and may ignore them.
-  OrchestratorOptions opts(const std::string& script, std::size_t shards,
-                           std::size_t retries) {
+  OrchestratorOptions opts(const std::string& script, std::size_t retries) {
     OrchestratorOptions o;
     o.worker_command = {"/bin/sh", "-c", script, "worker"};
     o.results_dir = dir();
     o.driver = "drv";
-    o.shards = shards;
     o.workers = 2;
     o.retries = retries;
     o.poll_seconds = 0.005;
-    // sh-script stand-ins have no --emit-plan contract; probing them
-    // would only add a wasted spawn (and claim test fault injections).
-    o.probe_plan = false;
     return o;
   }
 
@@ -84,30 +132,28 @@ class OrchestratorTest : public ::testing::Test {
 };
 
 TEST_F(OrchestratorTest, RejectsUnusableConfigurations) {
-  OrchestratorOptions o = opts("exit 0", 1, 0);
+  OrchestratorOptions o = opts("exit 0", 0);
   o.worker_command.clear();
   EXPECT_THROW(SweepOrchestrator{o}, std::invalid_argument);
-  o = opts("exit 0", 1, 0);
+  o = opts("exit 0", 0);
   o.results_dir.clear();
   EXPECT_THROW(SweepOrchestrator{o}, std::invalid_argument);
-  o = opts("exit 0", 1, 0);
-  o.shards = 0;
+  o = opts("exit 0", 0);
+  o.driver.clear();
   EXPECT_THROW(SweepOrchestrator{o}, std::invalid_argument);
-  o = opts("exit 0", 1, 0);
+  o = opts("exit 0", 0);
   o.workers = 0;
   EXPECT_THROW(SweepOrchestrator{o}, std::invalid_argument);
 }
 
-TEST_F(OrchestratorTest, MergesShardStoresIntoCanonicalFile) {
-  seed_shard_store(0, 2);
-  seed_shard_store(1, 2);
-  SweepOrchestrator orch(opts("exit 0", 2, 0));
+TEST_F(OrchestratorTest, MergesWorkerStoresIntoCanonicalFile) {
+  SweepOrchestrator orch(opts(stub(2, lease_loop()), 0));
   std::ostringstream log;
   const auto report = orch.run(log);
   EXPECT_TRUE(report.success) << log.str();
-  EXPECT_TRUE(report.missing_shards.empty());
+  EXPECT_TRUE(report.missing_points.empty());
   EXPECT_EQ(report.merged_records, 2u);
-  ASSERT_EQ(report.attempts.size(), 2u);
+  ASSERT_EQ(report.attempts.size(), 2u);  // both slots drained with exit 0
 
   const auto merged = ResultStore::load(report.merged_path);
   EXPECT_EQ(merged.size(), 2u);
@@ -119,13 +165,11 @@ TEST_F(OrchestratorTest, MergesShardStoresIntoCanonicalFile) {
 TEST_F(OrchestratorTest, MergePreservesExistingCanonicalRecords) {
   // The canonical store may hold records from earlier runs (other scales,
   // other grids) — documented to sit idle in the file. Completing a sweep
-  // must extend that cache, never replace it with only this grid's shards.
+  // must extend that cache, never replace it with only this grid's points.
   ResultStore prior;
   prior.put(key("earlier-grid", 3), result(0.5), "host-fp");
   prior.save(store_path(dir(), "drv"));
-  seed_shard_store(0, 2);
-  seed_shard_store(1, 2);
-  SweepOrchestrator orch(opts("exit 0", 2, 0));
+  SweepOrchestrator orch(opts(stub(2, lease_loop()), 0));
   std::ostringstream log;
   const auto report = orch.run(log);
   EXPECT_TRUE(report.success) << log.str();
@@ -136,15 +180,14 @@ TEST_F(OrchestratorTest, MergePreservesExistingCanonicalRecords) {
   EXPECT_TRUE(merged.has(key("workload-1", 1)));
 }
 
-TEST_F(OrchestratorTest, WorkerKilledMidShardIsRetried) {
-  seed_shard_store(0, 1);
-  // First attempt claims the marker and dies as if SIGKILLed mid-shard;
-  // the retry finds no marker and succeeds.
-  const auto marker = dir() + "/crash.marker";
-  std::ofstream(marker) << "";
-  SweepOrchestrator orch(
-      opts("if rm " + marker + " 2>/dev/null; then kill -9 $$; fi; exit 0",
-           1, 1));
+TEST_F(OrchestratorTest, WorkerKilledMidLeaseIsRetried) {
+  // The first worker claims the marker and dies as if SIGKILLed holding
+  // its lease; the respawned worker finds no marker and drains the
+  // queue, the dead lease's point included.
+  { std::ofstream(dir_ / "crash.marker") << ""; }
+  auto o = opts(stub(2, lease_loop(kKillOnMarker)), 1);
+  o.workers = 1;
+  SweepOrchestrator orch(o);
   std::ostringstream log;
   const auto report = orch.run(log);
   EXPECT_TRUE(report.success) << log.str();
@@ -156,68 +199,58 @@ TEST_F(OrchestratorTest, WorkerKilledMidShardIsRetried) {
   EXPECT_NE(manifest().find("signal 9"), std::string::npos);
 }
 
-TEST_F(OrchestratorTest, ExhaustedRetryBudgetFailsAndNamesTheShard) {
-  seed_shard_store(0, 2);  // shard 0 fine; shard 1's worker always dies
-  // The appended flags arrive as positional params: $1=--results-dir
-  // $2=<dir> $3=--shard $4=i/n $5=--worker.
-  SweepOrchestrator orch(opts(
-      "case \"$4\" in 0/2) exit 0 ;; *) exit 3 ;; esac", 2, 1));
+TEST_F(OrchestratorTest, ExhaustedRetryBudgetFailsAndNamesThePoint) {
+  // Point 0 runs fine; every worker offered point 1 dies with the
+  // retryable exit code, until point 1's budget runs out.
+  auto o = opts(stub(2, lease_loop(kFailOnPoint1)), 1);
+  o.workers = 1;
+  SweepOrchestrator orch(o);
   std::ostringstream log;
   const auto report = orch.run(log);
   EXPECT_FALSE(report.success) << log.str();
-  ASSERT_EQ(report.missing_shards.size(), 1u);
-  EXPECT_EQ(report.missing_shards[0], 1u);
-  // 1 success for shard 0 + (1 + retries) failures for shard 1.
-  EXPECT_EQ(report.attempts.size(), 3u);
+  ASSERT_EQ(report.missing_points.size(), 1u);
+  EXPECT_EQ(report.missing_points[0], 1u);
+  // 1 + retries attempts, each dying on point 1.
+  EXPECT_EQ(report.attempts.size(), 2u);
+  EXPECT_NE(report.error.find("retry budget"), std::string::npos)
+      << report.error;
   const auto m = manifest();
   EXPECT_NE(m.find("status\tfailed"), std::string::npos);
-  EXPECT_NE(m.find("missing\t1"), std::string::npos);
+  EXPECT_NE(m.find("missing_point\t1"), std::string::npos);
   // No merged store may appear for an incomplete sweep.
   EXPECT_FALSE(fs::exists(store_path(dir(), "drv")));
 }
 
 TEST_F(OrchestratorTest, UsageExitFailsFastWithoutRetry) {
-  SweepOrchestrator orch(opts("exit 2", 2, 5));
+  SweepOrchestrator orch(opts(stub(4, "exit 2"), 5));
   std::ostringstream log;
   const auto report = orch.run(log);
   EXPECT_FALSE(report.success);
-  EXPECT_FALSE(report.error.empty());
-  // Fail-fast: nowhere near (1 + retries) * shards attempts.
+  EXPECT_NE(report.error.find("rejected"), std::string::npos) << report.error;
+  // Fail-fast: nowhere near (1 + retries) attempts per point.
   EXPECT_LE(report.attempts.size(), 2u);
-  EXPECT_EQ(report.missing_shards.size(), 2u);
+  EXPECT_EQ(report.missing_points.size(), 4u);
 }
 
-TEST_F(OrchestratorTest, SuccessfulExitWithoutStoreFileIsAFailure) {
-  // Workers must persist their slice; exit 0 with no store file is a lie
-  // the orchestrator catches (and retries — here until the budget ends).
-  SweepOrchestrator orch(opts("exit 0", 1, 1));
+TEST_F(OrchestratorTest, AcknowledgedLeaseWithoutStoreFailsTheSweep) {
+  // Workers must persist their results before the ack; an acknowledged
+  // lease with no store behind it is a hole the merge must not paper
+  // over with an empty store.
+  SweepOrchestrator orch(
+      opts(stub(2, lease_loop("", /*persist=*/false)), 0));
   std::ostringstream log;
   const auto report = orch.run(log);
   EXPECT_FALSE(report.success) << log.str();
-  EXPECT_EQ(report.attempts.size(), 2u);
-  EXPECT_EQ(report.missing_shards.size(), 1u);
-}
-
-TEST_F(OrchestratorTest, ReadsExecutedCountFromMetaSidecar) {
-  seed_shard_store(0, 1);
-  const auto store = store_path(dir(), "drv", {0, 1});
-  std::ofstream(store + ".meta") << "executed 5\nplanned 9\nrecords 1\n";
-  SweepOrchestrator orch(opts("exit 0", 1, 0));
-  std::ostringstream log;
-  const auto report = orch.run(log);
-  EXPECT_TRUE(report.success) << log.str();
-  ASSERT_EQ(report.attempts.size(), 1u);
-  EXPECT_EQ(report.attempts[0].executed, 5u);
-  EXPECT_EQ(report.engine_runs, 5u);
-  EXPECT_NE(manifest().find("engine_runs\t5"), std::string::npos);
+  EXPECT_NE(report.error.find("merge failed"), std::string::npos)
+      << report.error;
+  EXPECT_NE(manifest().find("status\tfailed"), std::string::npos);
+  EXPECT_FALSE(fs::exists(store_path(dir(), "drv")));
 }
 
 TEST_F(OrchestratorTest, StaleHeartbeatGetsWorkerKilled) {
-  seed_shard_store(0, 1);
-  const auto hb = store_path(dir(), "drv", {0, 1}) + ".hb";
   // The worker fakes a heartbeat that then never advances; the
   // orchestrator must kill it long before the 30 s sleep finishes.
-  auto o = opts("printf '1\\t1\\n' > " + hb + "; sleep 30", 1, 0);
+  auto o = opts(stub(1, R"(printf '1\t1\n' > "$5.hb"; sleep 30)"), 0);
   o.stall_timeout_seconds = 0.2;
   SweepOrchestrator orch(o);
   std::ostringstream log;
@@ -235,11 +268,9 @@ TEST_F(OrchestratorTest, SequenceStuckHeartbeatIsAStallEvenWithFreshMtimes) {
   // forever — fresh mtime every 50 ms — but the beat sequence number
   // never advances. Mtime-based staleness would call it alive
   // indefinitely; sequence-progress supervision must kill it.
-  seed_shard_store(0, 1);
-  const auto hb = store_path(dir(), "drv", {0, 1}) + ".hb";
-  auto o = opts("while :; do printf '1\\t1\\n' > " + hb +
-                    "; sleep 0.05; done",
-                1, 0);
+  auto o = opts(
+      stub(1, R"(while :; do printf '1\t1\n' > "$5.hb"; sleep 0.05; done)"),
+      0);
   o.stall_timeout_seconds = 0.3;
   SweepOrchestrator orch(o);
   std::ostringstream log;
@@ -252,80 +283,29 @@ TEST_F(OrchestratorTest, SequenceStuckHeartbeatIsAStallEvenWithFreshMtimes) {
   EXPECT_NE(log.str().find("heartbeat stuck at beat 1"), std::string::npos);
 }
 
-TEST_F(OrchestratorTest, StaticProbeSkipsEmptyShards) {
-  // A probed plan of 1 point makes shards 1 and 2 of 3 provably empty:
-  // the orchestrator must not fork, supervise, or merge workers for
-  // them.
-  seed_shard_store(0, 3);
-  auto o = opts(
-      "case \"$3\" in --emit-plan) printf '#am-plan-info v1\\npoints\\t1\\n'"
-      " > \"$4.tmp\" && mv \"$4.tmp\" \"$4\";; esac; exit 0",
-      3, 0);
-  o.probe_plan = true;
+TEST_F(OrchestratorTest, WorkerWedgedBeforeFirstBeatIsKilled) {
+  // This worker never writes a heartbeat at all (wedged during startup,
+  // before the writer thread exists). Real --worker drivers beat
+  // immediately, so time since spawn must trip the same timeout, or the
+  // sweep would hang on the 30 s sleep.
+  auto o = opts(stub(1, "sleep 30"), 0);
+  o.stall_timeout_seconds = 0.2;
   SweepOrchestrator orch(o);
   std::ostringstream log;
   const auto report = orch.run(log);
-  EXPECT_TRUE(report.success) << log.str();
-  EXPECT_EQ(report.plan_points, 1u);
-  EXPECT_EQ(report.skipped_empty, 2u);
-  EXPECT_EQ(report.attempts.size(), 1u);  // only shard 0 ever spawned
-  EXPECT_EQ(report.merged_records, 1u);
-  EXPECT_NE(manifest().find("skipped_empty\t2"), std::string::npos);
+  EXPECT_FALSE(report.success) << log.str();
+  ASSERT_EQ(report.attempts.size(), 1u);
+  EXPECT_TRUE(report.attempts[0].stalled);
+  EXPECT_TRUE(report.attempts[0].status.signaled);
+  EXPECT_LT(report.attempts[0].wall_seconds, 10.0);
+  EXPECT_NE(log.str().find("no heartbeat"), std::string::npos);
 }
 
-TEST_F(OrchestratorTest, StaticProbeFailureFallsBackToSpawningAllShards) {
-  // Custom or older drivers without --emit-plan must keep working: a
-  // failed probe degrades to the un-probed static schedule.
-  seed_shard_store(0, 2);
-  seed_shard_store(1, 2);
-  auto o = opts("case \"$3\" in --emit-plan) exit 3;; esac; exit 0", 2, 0);
-  o.probe_plan = true;
-  SweepOrchestrator orch(o);
+TEST_F(OrchestratorTest, DrainsTheQueueAndRecordsLoadStats) {
+  SweepOrchestrator orch(opts(stub(3, lease_loop()), 0));
   std::ostringstream log;
   const auto report = orch.run(log);
   EXPECT_TRUE(report.success) << log.str();
-  EXPECT_EQ(report.plan_points, SIZE_MAX);  // never learned
-  EXPECT_EQ(report.attempts.size(), 2u);
-  EXPECT_NE(log.str().find("probe failed"), std::string::npos);
-}
-
-/// A /bin/sh lease worker: answers the --emit-plan probe with a 3-point
-/// plan, then acknowledges every offered lease until the done offer.
-/// The appended flags arrive as $1=--results-dir $2=<dir> then either
-/// $3=--emit-plan $4=<file> or $3=--lease $4=<file> $5=--worker.
-constexpr const char* kLeaseWorkerScript = R"sh(
-case "$3" in
-  --emit-plan)
-    printf '#am-plan-info v1\npoints\t3\n' > "$4.tmp" && mv "$4.tmp" "$4"
-    exit 0 ;;
-  --lease)
-    lease=$4; last=
-    while :; do
-      if [ -f "$lease" ]; then
-        id=$(awk '$1=="lease"{print $2}' "$lease")
-        dn=$(awk '$1=="done"{print $2}' "$lease")
-        if [ -n "$id" ] && [ "$id" != "$last" ]; then
-          if [ "$dn" = "1" ]; then exit 0; fi
-          printf '#am-lease-ack v1\nlease\t%s\npoints\t1\nexecuted\t2\nwall\t0.25\n' \
-            "$id" > "$lease.ack.tmp" && mv "$lease.ack.tmp" "$lease.ack"
-          last=$id
-        fi
-      fi
-      sleep 0.01
-    done ;;
-esac
-exit 0
-)sh";
-
-TEST_F(OrchestratorTest, LeaseModeDrainsTheQueueAndRecordsLoadStats) {
-  auto o = opts(kLeaseWorkerScript, 2, 0);
-  o.schedule = Schedule::kLease;
-  o.probe_plan = true;
-  SweepOrchestrator orch(o);
-  std::ostringstream log;
-  const auto report = orch.run(log);
-  EXPECT_TRUE(report.success) << log.str();
-  EXPECT_EQ(report.schedule, Schedule::kLease);
   EXPECT_EQ(report.plan_points, 3u);
   // 3 points → 3 singleton batches, every one acknowledged, each ack
   // reporting 2 engine runs.
@@ -347,11 +327,9 @@ TEST_F(OrchestratorTest, LeaseModeDrainsTheQueueAndRecordsLoadStats) {
   EXPECT_NE(m.find("worker\t1\t"), std::string::npos);
 }
 
-TEST_F(OrchestratorTest, LeaseModeRequiresASuccessfulProbe) {
-  auto o = opts("case \"$3\" in --emit-plan) exit 3;; esac; exit 0", 2, 0);
-  o.schedule = Schedule::kLease;
-  o.probe_plan = true;
-  SweepOrchestrator orch(o);
+TEST_F(OrchestratorTest, RequiresASuccessfulProbe) {
+  SweepOrchestrator orch(
+      opts("case \"$3\" in --emit-plan) exit 3;; esac; exit 0", 0));
   std::ostringstream log;
   const auto report = orch.run(log);
   EXPECT_FALSE(report.success);
@@ -359,16 +337,11 @@ TEST_F(OrchestratorTest, LeaseModeRequiresASuccessfulProbe) {
   EXPECT_TRUE(report.attempts.empty());  // no workers ever spawned
 }
 
-TEST_F(OrchestratorTest, LeaseModeExhaustsPerPointBudgetAndNamesPoints) {
+TEST_F(OrchestratorTest, ExhaustsPerPointBudgetAndNamesPoints) {
   // Workers that die holding a lease charge each leased point one
-  // failure; once a point's budget is gone the sweep fails and the
-  // manifest names it.
-  auto o = opts(
-      "case \"$3\" in --emit-plan) printf '#am-plan-info v1\\npoints\\t2\\n'"
-      " > \"$4.tmp\" && mv \"$4.tmp\" \"$4\"; exit 0;; esac; exit 3",
-      2, 1);
-  o.schedule = Schedule::kLease;
-  o.probe_plan = true;
+  // failure; once a point's budget is gone the sweep fails, and every
+  // point never acknowledged is named missing.
+  auto o = opts(stub(2, "exit 3"), 1);
   o.workers = 1;
   SweepOrchestrator orch(o);
   std::ostringstream log;
@@ -382,45 +355,13 @@ TEST_F(OrchestratorTest, LeaseModeExhaustsPerPointBudgetAndNamesPoints) {
   EXPECT_FALSE(fs::exists(store_path(dir(), "drv")));
 }
 
-/// Like kLeaseWorkerScript but with a 4-point plan, acks sized to the
-/// offered batch, and a one-shot poison: the first worker to claim
-/// (atomically rm) the marker dies with the retryable exit code while
-/// holding its lease.
-constexpr const char* kPoisonOnceLeaseWorkerScript = R"sh(
-case "$3" in
-  --emit-plan)
-    printf '#am-plan-info v1\npoints\t4\n' > "$4.tmp" && mv "$4.tmp" "$4"
-    exit 0 ;;
-  --lease)
-    lease=$4; last=
-    while :; do
-      if [ -f "$lease" ]; then
-        id=$(awk '$1=="lease"{print $2}' "$lease")
-        dn=$(awk '$1=="done"{print $2}' "$lease")
-        if [ -n "$id" ] && [ "$id" != "$last" ]; then
-          if [ "$dn" = "1" ]; then exit 0; fi
-          if rm "$2/poison.marker" 2>/dev/null; then exit 3; fi
-          np=$(awk '$1=="points"{print NF-1}' "$lease")
-          printf '#am-lease-ack v1\nlease\t%s\npoints\t%s\nexecuted\t1\nwall\t0.1\n' \
-            "$id" "$np" > "$lease.ack.tmp" && mv "$lease.ack.tmp" "$lease.ack"
-          last=$id
-        fi
-      fi
-      sleep 0.01
-    done ;;
-esac
-exit 0
-)sh";
-
 TEST_F(OrchestratorTest, DeadWorkersBatchIsSplitOnRequeue) {
   // One batch holds the whole 4-point plan; the first worker dies with
   // it. The requeue must split the survivors in half — two 2-point
   // batches under fresh lease ids — instead of re-offering all 4 as one
   // block, so repeated crashes bisect toward a poison point.
   { std::ofstream(dir_ / "poison.marker") << "x"; }
-  auto o = opts(kPoisonOnceLeaseWorkerScript, 2, /*retries=*/2);
-  o.schedule = Schedule::kLease;
-  o.probe_plan = true;
+  auto o = opts(stub(4, lease_loop(kFailOnMarker)), /*retries=*/2);
   o.lease_batches = 1;
   SweepOrchestrator orch(o);
   std::ostringstream log;
@@ -439,32 +380,6 @@ TEST_F(OrchestratorTest, DeadWorkersBatchIsSplitOnRequeue) {
   EXPECT_TRUE(report.missing_points.empty());
   EXPECT_NE(log.str().find("split into 2 + 2"), std::string::npos)
       << log.str();
-}
-
-TEST_F(OrchestratorTest, LeaseModeRejectsCustomCommandsWithoutTheContract) {
-  auto o = opts("exit 0", 1, 0);
-  o.schedule = Schedule::kLease;
-  o.append_worker_flags = false;
-  EXPECT_THROW(SweepOrchestrator{o}, std::invalid_argument);
-}
-
-TEST_F(OrchestratorTest, WorkerWedgedBeforeFirstBeatIsKilled) {
-  seed_shard_store(0, 1);
-  // This worker never writes a heartbeat at all (wedged during startup,
-  // before the writer thread exists). With append_worker_flags — real
-  // --worker drivers beat immediately — time since spawn must trip the
-  // same timeout, or the sweep would hang on the 30 s sleep.
-  auto o = opts("sleep 30", 1, 0);
-  o.stall_timeout_seconds = 0.2;
-  SweepOrchestrator orch(o);
-  std::ostringstream log;
-  const auto report = orch.run(log);
-  EXPECT_FALSE(report.success) << log.str();
-  ASSERT_EQ(report.attempts.size(), 1u);
-  EXPECT_TRUE(report.attempts[0].stalled);
-  EXPECT_TRUE(report.attempts[0].status.signaled);
-  EXPECT_LT(report.attempts[0].wall_seconds, 10.0);
-  EXPECT_NE(log.str().find("no heartbeat"), std::string::npos);
 }
 
 }  // namespace
