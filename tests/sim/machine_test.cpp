@@ -89,5 +89,21 @@ TEST(MachineConfig, ValidateCatchesBadTopology) {
   EXPECT_THROW(m.validate(), std::invalid_argument);
 }
 
+TEST(MachineConfig, ValidateCatchesBadPrefetcher) {
+  auto m = MachineConfig::xeon20mb();
+  m.prefetcher.num_streams = 0;
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+  m = MachineConfig::xeon20mb();
+  m.prefetcher.page_lines = 0;
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+  m = MachineConfig::xeon20mb();
+  m.prefetcher.num_streams = kMaxPrefetchStreams + 1;
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+  // A disabled prefetcher's geometry is never used.
+  m.prefetcher.enabled = false;
+  m.prefetcher.page_lines = 0;
+  EXPECT_NO_THROW(m.validate());
+}
+
 }  // namespace
 }  // namespace am::sim
