@@ -25,6 +25,7 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
   /// Enqueues a task; tasks may not throw (std::terminate otherwise).
+  /// Work that may throw goes through parallel_for instead.
   void submit(std::function<void()> task);
 
   /// Blocks until every submitted task has finished.
@@ -43,13 +44,17 @@ class ThreadPool {
 };
 
 /// Runs fn(i) for i in [0, n) across the pool's threads and waits.
+/// fn may throw: a throwing index is recorded, every other index still
+/// runs, and after the barrier the exception of the lowest throwing index
+/// is rethrown. The pool stays usable afterwards.
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 
 /// Chunked overload: splits [0, n) into contiguous chunks of up to `grain`
 /// indices and submits one task per chunk, so large grids pay one queue
 /// round-trip per chunk instead of per index. fn still runs once per index,
-/// in order within each chunk.
+/// in order within each chunk, with the same exception contract: a throw
+/// does not skip the rest of its chunk.
 void parallel_for(ThreadPool& pool, std::size_t n, std::size_t grain,
                   const std::function<void(std::size_t)>& fn);
 

@@ -46,12 +46,23 @@ struct CalibrationOptions {
 
 /// Fig. 6 procedure: run probe benchmarks against k CSThrs, measure L3
 /// miss rates, invert Eq. 4 into effective capacity, average over probes.
+/// Throws std::invalid_argument, before any probe runs, when the probe on
+/// core 0 plus max_threads CSThrs do not fit one socket, when either probe
+/// list is empty, when a ratio is non-finite or leaves no buffer, or when a
+/// distribution index is outside AccessDistribution::table2.
+///
+/// The probes run concurrently on a transient pool of min(probes, hardware
+/// threads) threads. Each probe is its own engine seeded with opts.seed and
+/// the estimates are averaged in (k, ratio, distribution) loop order, so
+/// the tables are bit-identical for any thread count.
 CapacityCalibration calibrate_capacity(const sim::MachineConfig& machine,
                                        const interfere::CSThrConfig& cs,
                                        const CalibrationOptions& opts = {});
 
 /// §III-A procedure: measure the bandwidth k BWThrs draw on an otherwise
-/// idle socket, and the STREAM-style peak.
+/// idle socket, and the STREAM-style peak. The peak probe and the
+/// k = 0..max_threads probes run concurrently like calibrate_capacity's,
+/// each its own engine seeded with `seed`.
 BandwidthCalibration calibrate_bandwidth(const sim::MachineConfig& machine,
                                          const interfere::BWThrConfig& bw,
                                          std::uint32_t max_threads,
