@@ -73,12 +73,10 @@ int abl(const am::Cli& cli, am::bench::BenchContext& ctx) {
   // Worker/probe invocations: the plan under ctx.machine, orchestrated
   // like any fig driver (the scheduler picks the backend per invocation
   // via --mem-backend).
-  if (!ctx.emit_plan_path.empty() || !ctx.lease_path.empty() ||
-      ctx.shard.sharded()) {
-    const am::measure::SweepRunner runner(ctx.machine, opts);
-    (void)am::bench::execute_plan(ctx, plan, runner, store, &pool);
+  if (am::measure::run_worker_mode(cli, plan,
+                                   am::measure::SweepRunner(ctx.machine, opts),
+                                   store, &pool, std::cout))
     return 0;
-  }
 
   // Full run: the same plan under each backend, one shared store.
   const std::vector<std::string> backends{"channel", "ddr4", "hbm"};
@@ -88,8 +86,7 @@ int abl(const am::Cli& cli, am::bench::BenchContext& ctx) {
     const auto machine = backend_machine(ctx, spec);
     const am::measure::SweepRunner runner(machine, opts);
     std::size_t executed = 0;
-    const auto table = runner.run(plan, &pool, store.store(), ctx.shard,
-                                  &executed);
+    const auto table = runner.run(plan, &pool, store.store(), {}, &executed);
     store.finish(executed, table.size(), std::cout);
     for (const auto resource :
          {Resource::kCacheStorage, Resource::kBandwidth}) {

@@ -64,8 +64,10 @@ int fig10(const am::Cli& cli, am::bench::BenchContext& ctx) {
                             std::to_string(p),
                         std::min(sweep_cs, ctx.machine.cores_per_socket - p),
                         std::min(sweep_bw, ctx.machine.cores_per_socket - p)});
-  if (am::bench::grid_worker_modes(ctx, measurer, requests, store,
-                                   ctx.cs_config(), ctx.bw_config()))
+  if (am::measure::run_worker_mode(
+          cli, measurer.build_grid(requests),
+          measurer.grid_runner(ctx.cs_config(), ctx.bw_config()), store,
+          &pool, std::cout))
     return 0;  // worker/probe: merge the stores, then re-run to print
   const auto sweeps =
       measurer.sweep_grid(requests, ctx.cs_config(), ctx.bw_config());

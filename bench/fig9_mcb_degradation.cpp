@@ -84,15 +84,18 @@ int fig9(const am::Cli& cli, am::bench::BenchContext& ctx) {
   opts.checkpoint = store.checkpointer();  // keep finished runs on a crash
   const am::measure::SweepRunner runner(ctx.machine, opts);
   am::ThreadPool pool;
-  const auto table =
-      am::bench::execute_plan(ctx, plan, runner, store, &pool);
-  if (!table) return 0;  // worker/probe: output is store or plan files
+  if (am::measure::run_worker_mode(cli, plan, runner, store, &pool,
+                                   std::cout))
+    return 0;  // worker/probe: output is store or plan files
+  std::size_t executed = 0;
+  const auto table = runner.run(plan, &pool, store.store(), {}, &executed);
+  store.finish(executed, table.size(), std::cout);
 
   am::bench::emit_degradation_tables(
-      *table, rows, "map", "p/processor",
+      table, rows, "map", "p/processor",
       "Fig. 9 top: MCB 20k particles, mapping sweep vs ", ctx);
   am::bench::emit_degradation_tables(
-      *table, rows, "particles", "particles",
+      table, rows, "particles", "particles",
       "Fig. 9 bottom: MCB particle sweep (1 process/processor) vs ", ctx);
   return 0;
 }

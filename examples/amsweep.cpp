@@ -44,7 +44,6 @@
 //    direct serial run. Unknown flags are usage errors. Exit: 0 merged,
 //    1 sweep failed (see manifest), 2 usage.
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -83,7 +82,7 @@ int usage() {
 /// on missing flags (usage) and SocketError when nothing answers (the
 /// caller maps that to exit 3, retry later).
 am::measure::DaemonClient connect(const am::Cli& cli) {
-  const auto timeout = cli.get_double("connect-timeout", 5.0);
+  const auto timeout = cli.get_seconds("connect-timeout", 5.0);
   const auto tcp = cli.get_int("tcp", -1);
   if (tcp >= 0) {
     if (tcp > 65535)
@@ -152,7 +151,7 @@ int cmd_submit(const am::Cli& cli) {
   std::cout << "submitted as job " << reply.job << " (" << reply.points
             << " points, namespace " << ns << ")\n";
   if (!cli.get_bool("wait", false)) return 0;
-  reply = client.wait(reply.job, cli.get_double("timeout", 0.0));
+  reply = client.wait(reply.job, cli.get_seconds("timeout", 0.0));
   print_reply(reply);
   return reply_exit(reply, true);
 }
@@ -173,7 +172,8 @@ int cmd_cancel(const am::Cli& cli) {
 
 int cmd_wait(const am::Cli& cli) {
   auto client = connect(cli);
-  const auto reply = client.wait(job_flag(cli), cli.get_double("timeout", 0.0));
+  const auto reply =
+      client.wait(job_flag(cli), cli.get_seconds("timeout", 0.0));
   if (reply.ok) print_reply(reply);
   return reply_exit(reply, true);
 }
@@ -351,7 +351,7 @@ int cmd_inject(const am::Cli& cli) {
     return 0;
   }
   try {
-    am::set_io_timeout(client.socket(), cli.get_double("timeout", 10.0));
+    am::set_io_timeout(client.socket(), cli.get_seconds("timeout", 10.0));
     const auto frame = am::read_frame(client.socket());
     const auto reply = am::measure::parse_reply(frame.payload);
     if (!reply || reply->ok) {
@@ -443,16 +443,6 @@ int main(int argc, char** argv) {
                                     " must be positive");
       return static_cast<std::size_t>(v);
     };
-    const auto non_negative = [&cli](const char* name, double def) {
-      const auto v = cli.get_double(name, def);
-      // strtod happily parses "nan" and "inf"; neither may reach
-      // sleep_for (NaN: unspecified, inf: sleeps forever) or silently
-      // disable stall supervision.
-      if (!std::isfinite(v) || v < 0.0)
-        throw std::invalid_argument(std::string("--") + name +
-                                    " must be a finite value >= 0");
-      return v;
-    };
     opts.workers = positive("workers", 2);
     // 0 = auto (a few batches per worker slot); explicit counts must be
     // positive.
@@ -464,14 +454,13 @@ int main(int argc, char** argv) {
     if (retries < 0)
       throw std::invalid_argument("--retries must be >= 0");
     opts.retries = static_cast<std::size_t>(retries);
-    opts.poll_seconds = non_negative("poll-seconds", 0.05);
-    opts.stall_timeout_seconds = non_negative("stall-timeout", 0.0);
+    opts.poll_seconds = cli.get_seconds("poll-seconds", 0.05);
+    opts.stall_timeout_seconds = cli.get_seconds("stall-timeout", 0.0);
     opts.driver = cli.get(
         "driver-name", std::filesystem::path(worker[0]).stem().string());
     // A typo'd or retired flag (--retires 3, --schedule) must not run a
     // sweep with silently different settings.
-    if (const auto unknown = cli.unused(); !unknown.empty())
-      throw std::invalid_argument("unknown flag --" + unknown.front());
+    cli.reject_unused();
 
     am::measure::SweepOrchestrator orchestrator(std::move(opts));
     const auto report = orchestrator.run(std::cout);

@@ -20,9 +20,12 @@
 // `--workers 0` is accept-only mode: submissions queue durably but
 // nothing dispatches until a restart with workers. `--tcp-port 0`
 // asks the kernel for a port (written to <results-dir>/daemon/tcp.port).
-// `--test-crash-marker` is forwarded to every worker: the first worker
-// to claim a batch while FILE exists deletes it and SIGKILLs itself —
-// the deterministic crash the smoke test recovers from.
+// `--test-crash-marker` is forwarded to every worker; per the worker
+// contract of measure/lease.hpp, the first worker to get a fresh offer
+// claims FILE atomically and SIGKILLs itself mid-lease — at most one
+// death per marker file, the crash the smoke test recovers from.
+// Durations must be finite and >= 0, and unknown flags are usage
+// errors, in both modes.
 //
 // SIGTERM/SIGINT request a graceful drain: in-flight leases finish,
 // every completed point is checkpointed, waiting submitters get
@@ -79,29 +82,20 @@ std::string self_path(const char* argv0) {
 }
 
 int run_worker(const am::Cli& cli) {
-  am::measure::DaemonWorkerOptions opts;
-  opts.lease_path = cli.get("lease", "");
-  if (opts.lease_path.empty()) {
-    std::fprintf(stderr, "amsweepd --worker: --lease is required\n");
-    return 2;
-  }
-  opts.poll_seconds = cli.get_double("poll-seconds", opts.poll_seconds);
-  opts.idle_timeout_seconds =
-      cli.get_double("idle-timeout", opts.idle_timeout_seconds);
-  opts.test_crash_marker = cli.get("test-crash-marker", "");
-  try {
+  return am::measure::run_worker_main("amsweepd --worker", [&] {
+    am::measure::DaemonWorkerOptions opts;
+    opts.lease_path = cli.get("lease", "");
+    opts.poll_seconds = cli.get_seconds("poll-seconds", opts.poll_seconds);
+    opts.idle_timeout_seconds =
+        cli.get_seconds("idle-timeout", opts.idle_timeout_seconds);
+    opts.test_crash_marker = cli.get("test-crash-marker", "");
+    cli.reject_unused();
     const auto report = am::measure::run_daemon_worker(opts, std::cout);
     std::cout << "worker done: " << report.leases << " leases, "
               << report.points << " points, " << report.executed
               << " executed\n";
     return 0;
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "amsweepd --worker: %s\n", e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "amsweepd --worker: %s\n", e.what());
-    return 3;
-  }
+  });
 }
 
 }  // namespace
@@ -130,11 +124,11 @@ int main(int argc, char** argv) {
     if (batches < 0)
       throw std::invalid_argument("--batches must be >= 0 (0 = auto)");
     opts.batches_per_job = static_cast<std::size_t>(batches);
-    opts.poll_seconds = cli.get_double("poll-seconds", opts.poll_seconds);
+    opts.poll_seconds = cli.get_seconds("poll-seconds", opts.poll_seconds);
     opts.stall_timeout_seconds =
-        cli.get_double("stall-timeout", opts.stall_timeout_seconds);
+        cli.get_seconds("stall-timeout", opts.stall_timeout_seconds);
     opts.client_io_timeout_seconds =
-        cli.get_double("client-timeout", opts.client_io_timeout_seconds);
+        cli.get_seconds("client-timeout", opts.client_io_timeout_seconds);
     const auto tcp = cli.get_int("tcp-port", -1);
     if (tcp < -1 || tcp > 65535)
       throw std::invalid_argument("--tcp-port must be in [-1, 65535]");
@@ -145,7 +139,7 @@ int main(int argc, char** argv) {
     opts.worker_command = {self_path(argv[0]), "--worker"};
     opts.worker_command.push_back("--poll-seconds");
     opts.worker_command.push_back(std::to_string(opts.poll_seconds));
-    const auto idle = cli.get_double("idle-timeout", 600.0);
+    const auto idle = cli.get_seconds("idle-timeout", 600.0);
     opts.worker_command.push_back("--idle-timeout");
     opts.worker_command.push_back(std::to_string(idle));
     const auto marker = cli.get("test-crash-marker", "");
@@ -153,6 +147,7 @@ int main(int argc, char** argv) {
       opts.worker_command.push_back("--test-crash-marker");
       opts.worker_command.push_back(marker);
     }
+    cli.reject_unused();
 
     am::measure::SweepDaemon daemon(std::move(opts));
     g_daemon = &daemon;

@@ -7,13 +7,15 @@
 //               [--results-dir DIR] [--shard i/n |
 //               --lease FILE [--worker] | --emit-plan FILE]
 //
-// The scheduling flags make the advisor orchestratable by amsweep (see
-// mcb_mapping_study for the contract); worker exits follow
-// measure/dispatch.hpp (2 = usage, 3 = run failure).
+// The scheduling flags make the advisor orchestratable by amsweep
+// through the worker contract of measure/lease.hpp (see
+// mcb_mapping_study): the profiling grid ActiveMeasurer builds is what
+// --emit-plan probes and --lease/--shard workers run, and
+// --test-crash-marker arms the lease workers' fault injection. Exits
+// follow run_worker_main (2 = usage, 3 = run failure).
 #include <cstdio>
 #include <iostream>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,7 +24,6 @@
 #include "measure/app_workloads.hpp"
 #include "measure/calibration.hpp"
 #include "measure/coschedule.hpp"
-#include "measure/dispatch.hpp"
 #include "measure/lease.hpp"
 #include "model/distributions.hpp"
 
@@ -46,7 +47,6 @@ int advise(const am::Cli& cli) {
   // drivers); the --shard/--results-dir pairing is validated by
   // ResultStoreFile, which is disabled when no results dir is given.
   const auto flags = am::measure::parse_scheduling_flags(cli);
-  const auto& [shard, lease, emit_plan] = flags;
   auto store = am::measure::scheduling_store(cli.get("results-dir", ""),
                                              "coschedule_advisor", flags);
   const auto heartbeat = am::measure::start_worker_heartbeat(cli, flags);
@@ -84,22 +84,10 @@ int advise(const am::Cli& cli) {
        5, 2},
       {am::measure::make_synthetic_workload(heavy_cfg), "heavy l3=0.60" + atag,
        5, 2}};
-  if (!emit_plan.empty()) {
-    measurer.sweep_grid_emit_plan(requests, emit_plan, cs, bw);
-    std::cout << "plan info -> " << emit_plan << "\n";
-    return 0;
-  }
-  if (!lease.empty()) {
-    const auto executed =
-        measurer.sweep_grid_lease(requests, store, lease, std::cout, cs, bw);
-    store.finish(executed, measurer.last_planned(), std::cout);
-    return 0;
-  }
-  if (shard.sharded()) {
-    const auto executed = measurer.sweep_grid_shard(requests, shard, cs, bw);
-    store.finish(executed, measurer.last_planned(), std::cout);
-    return 0;  // merge the shard stores with amresult, then re-run
-  }
+  if (am::measure::run_worker_mode(cli, measurer.build_grid(requests),
+                                   measurer.grid_runner(cs, bw), store,
+                                   &pool, std::cout))
+    return 0;  // worker/probe: merge the stores, then re-run to print
   const auto sweeps = measurer.sweep_grid(requests, cs, bw);
   store.finish(measurer.last_executed(), measurer.last_planned(), std::cout);
   auto profile = [](const char* name, const am::measure::GridSweeps& s) {
@@ -155,15 +143,6 @@ int advise(const am::Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Machine-readable exits for supervisors (measure::SweepOrchestrator).
-  try {
-    const am::Cli cli(argc, argv);
-    return advise(cli);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "coschedule_advisor: %s\n", e.what());
-    return am::measure::kWorkerExitUsage;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "coschedule_advisor: %s\n", e.what());
-    return am::measure::kWorkerExitRunFailed;
-  }
+  return am::measure::run_worker_main(
+      "coschedule_advisor", [&] { return advise(am::Cli(argc, argv)); });
 }

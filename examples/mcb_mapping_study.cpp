@@ -9,21 +9,19 @@
 //               [--results-dir DIR] [--shard i/n |
 //               --lease FILE [--worker] | --emit-plan FILE]
 //
-// The scheduling flags make the study orchestratable by amsweep: --lease
-// joins its lease queue (--worker adds the liveness heartbeat),
-// --emit-plan answers its plan probe. --shard is a manual slice for
-// hosts without a shared filesystem (merge with amresult). Worker exit
-// codes follow the measure/dispatch.hpp contract (2 = usage, 3 = run
-// failure).
+// The scheduling flags make the study orchestratable by amsweep through
+// the worker contract of measure/lease.hpp: --lease joins its lease
+// queue (--worker adds the liveness heartbeat, --test-crash-marker the
+// fault injection), --emit-plan answers its plan probe, and --shard is
+// a manual slice for hosts without a shared filesystem (merge with
+// amresult). Exits follow run_worker_main (2 = usage, 3 = run failure).
 #include <cstdio>
 #include <iostream>
-#include <stdexcept>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "common/thread_pool.hpp"
 #include "measure/app_workloads.hpp"
-#include "measure/dispatch.hpp"
 #include "measure/experiment_plan.hpp"
 #include "measure/lease.hpp"
 
@@ -35,7 +33,6 @@ int study(const am::Cli& cli) {
   // drivers); the --shard/--results-dir pairing is validated by
   // ResultStoreFile, which is disabled when no results dir is given.
   const auto flags = am::measure::parse_scheduling_flags(cli);
-  const auto& [shard, lease, emit_plan] = flags;
   auto store = am::measure::scheduling_store(cli.get("results-dir", ""),
                                              "mcb_mapping_study", flags);
   const auto heartbeat = am::measure::start_worker_heartbeat(cli, flags);
@@ -76,23 +73,12 @@ int study(const am::Cli& cli) {
   const am::measure::SweepRunner runner(machine, opts);
   am::ThreadPool pool;
 
-  if (!emit_plan.empty()) {
-    am::measure::emit_plan_info(plan, runner, store.store(), emit_plan);
-    std::cout << "plan info: " << plan.size() << " point(s) -> " << emit_plan
-              << "\n";
-    return 0;
-  }
-  if (!lease.empty()) {
-    const auto report = am::measure::run_lease_worker(plan, runner, &pool,
-                                                      store, lease,
-                                                      std::cout);
-    store.finish(report.executed, report.points, std::cout);
-    return 0;
-  }
+  if (am::measure::run_worker_mode(cli, plan, runner, store, &pool,
+                                   std::cout))
+    return 0;  // worker/probe: merge with amresult, then re-run to print
   std::size_t executed = 0;
-  const auto table = runner.run(plan, &pool, store.store(), shard, &executed);
-  if (store.finish(executed, table.size(), std::cout))
-    return 0;  // shard: merge with amresult, then re-run to print
+  const auto table = runner.run(plan, &pool, store.store(), {}, &executed);
+  store.finish(executed, table.size(), std::cout);
 
   std::printf("MCB, 24 ranks, %u particles on %s\n\n", particles,
               machine.name.c_str());
@@ -122,17 +108,6 @@ int study(const am::Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Machine-readable exits for supervisors (measure::SweepOrchestrator):
-  // flag rejections are usage errors no retry can fix; anything else out
-  // of the sweep is a retryable run failure.
-  try {
-    const am::Cli cli(argc, argv);
-    return study(cli);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "mcb_mapping_study: %s\n", e.what());
-    return am::measure::kWorkerExitUsage;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "mcb_mapping_study: %s\n", e.what());
-    return am::measure::kWorkerExitRunFailed;
-  }
+  return am::measure::run_worker_main(
+      "mcb_mapping_study", [&] { return study(am::Cli(argc, argv)); });
 }

@@ -13,7 +13,10 @@
 #      and a plan resubmitted over a complete namespace store is served
 #      with ZERO re-executed engine runs,
 #   5. an unreachable daemon maps to client exit 3 (retry later),
-#   6. the manifest records per-worker balance (busy_max_over_mean).
+#   6. the manifest records per-worker balance (busy_max_over_mean),
+#   7. flags are strictly parsed in daemon and worker mode: a NaN,
+#      infinite or negative duration and an unknown flag exit 2 (usage)
+#      instead of serving with a busy loop or silently default settings.
 # Driven by -D vars:
 #   AMSWEEP  — path to the amsweep binary (client subcommands)
 #   AMSWEEPD — path to the amsweepd binary
@@ -212,3 +215,33 @@ if(NOT resub MATCHES "job 4: done \\(6/6 points, 0 engine runs\\)")
     "resubmitted plan must be served fully cached:\n${resub}")
 endif()
 drain_daemon(gen3)
+
+# 12. Strict flags (exit 2, before anything binds or polls). Each probe
+#     gets a timeout: a daemon that accepted the flag would serve until
+#     killed, and that must fail the test, not hang it.
+string(RANDOM LENGTH 8 rand2)
+set(BAD_SOCK "/tmp/amsd_bad_${rand2}.sock")
+foreach(bad_flags
+    "--poll-seconds;nan" "--poll-seconds;inf" "--poll-seconds;-1"
+    "--stall-timeout;nan" "--client-timeout;-1" "--idle-timeout;inf"
+    "--retires;3")
+  execute_process(COMMAND "${AMSWEEPD}" --socket "${BAD_SOCK}"
+    --results-dir "${WORKDIR}/bad" --workers 0 ${bad_flags}
+    TIMEOUT 30 OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE bad_code)
+  if(NOT bad_code EQUAL 2)
+    file(REMOVE "${BAD_SOCK}")
+    message(FATAL_ERROR
+      "expected amsweepd ${bad_flags} to exit 2 (usage), got ${bad_code}")
+  endif()
+endforeach()
+foreach(bad_flags
+    "--poll-seconds;nan" "--idle-timeout;-1" "--idle-timeout;inf"
+    "--retires;3")
+  execute_process(COMMAND "${AMSWEEPD}" --worker
+    --lease "${WORKDIR}/bad.lease" ${bad_flags}
+    TIMEOUT 30 OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE bad_code)
+  if(NOT bad_code EQUAL 2)
+    message(FATAL_ERROR "expected amsweepd --worker ${bad_flags} to exit 2 "
+      "(usage), got ${bad_code}")
+  endif()
+endforeach()

@@ -103,11 +103,24 @@ ShardRange Cli::get_shard(const std::string& name) const {
   return {static_cast<std::size_t>(index), static_cast<std::size_t>(count)};
 }
 
+double Cli::get_seconds(const std::string& name, double def) const {
+  const double v = get_double(name, def);
+  if (!std::isfinite(v) || v < 0.0)
+    throw std::invalid_argument("--" + name +
+                                " must be a finite value >= 0");
+  return v;
+}
+
 std::vector<std::string> Cli::unused() const {
   std::vector<std::string> out;
   for (const auto& [name, _] : flags_)
     if (!queried_.count(name)) out.push_back(name);
   return out;
+}
+
+void Cli::reject_unused() const {
+  if (const auto unknown = unused(); !unknown.empty())
+    throw std::invalid_argument("unknown flag --" + unknown.front());
 }
 
 }  // namespace am

@@ -24,6 +24,11 @@ class Cli {
   /// become 0. An absent flag returns `def`.
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   double get_double(const std::string& name, double def) const;
+  /// get_double for durations: additionally throws std::invalid_argument
+  /// unless the value is finite and >= 0 — strtod happily parses "nan"
+  /// and "inf", and neither may reach sleep_for, a socket timeout or a
+  /// supervision deadline.
+  double get_seconds(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;
 
   /// Parses --name=i/n (e.g. --shard 0/4). An absent flag is the whole job
@@ -36,6 +41,9 @@ class Cli {
 
   /// Flags seen but never queried — useful for catching typos in scripts.
   std::vector<std::string> unused() const;
+  /// Throws std::invalid_argument naming the first unused() flag, so a
+  /// typo (--retires 3) cannot run with silently different settings.
+  void reject_unused() const;
 
  private:
   std::map<std::string, std::string> flags_;

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "measure/lease.hpp"
-
 namespace am::measure {
 
 model::SensitivityCurve SweepResult::curve() const {
@@ -78,7 +76,7 @@ SweepResult ActiveMeasurer::sweep(const SimBackend::WorkloadFactory& factory,
 
 ExperimentPlan ActiveMeasurer::build_grid(
     const std::vector<GridRequest>& requests,
-    std::vector<WorkloadId>& ids) const {
+    std::vector<WorkloadId>* ids) const {
   ExperimentPlan plan;
   for (const auto& req : requests) {
     check_calibration(Resource::kCacheStorage, req.storage_threads);
@@ -86,7 +84,7 @@ ExperimentPlan ActiveMeasurer::build_grid(
     const auto id = plan.add_workload({req.name, req.factory});
     plan.add_sweep(id, Resource::kCacheStorage, 0, req.storage_threads);
     plan.add_sweep(id, Resource::kBandwidth, 0, req.bandwidth_threads);
-    ids.push_back(id);
+    if (ids != nullptr) ids->push_back(id);
   }
   return plan;
 }
@@ -106,7 +104,7 @@ std::vector<GridSweeps> ActiveMeasurer::sweep_grid(
     const std::vector<GridRequest>& requests,
     const interfere::CSThrConfig& cs, const interfere::BWThrConfig& bw) {
   std::vector<WorkloadId> ids;
-  const ExperimentPlan plan = build_grid(requests, ids);
+  const ExperimentPlan plan = build_grid(requests, &ids);
   last_planned_ = plan.size();
   const ResultTable table = grid_runner(cs, bw).run(plan, pool_, store_,
                                                     ShardRange{},
@@ -119,45 +117,6 @@ std::vector<GridSweeps> ActiveMeasurer::sweep_grid(
                    assemble(table, ids[i], Resource::kBandwidth,
                             requests[i].bandwidth_threads)});
   return out;
-}
-
-std::size_t ActiveMeasurer::sweep_grid_shard(
-    const std::vector<GridRequest>& requests, ShardRange shard,
-    const interfere::CSThrConfig& cs, const interfere::BWThrConfig& bw) {
-  if (store_ == nullptr)
-    throw std::logic_error(
-        "sweep_grid_shard: a result store must be set — a shard's only "
-        "output is the records it persists");
-  std::vector<WorkloadId> ids;
-  const ExperimentPlan plan = build_grid(requests, ids);
-  last_planned_ = plan.shard(shard.index, shard.count).size();
-  grid_runner(cs, bw).run(plan, pool_, store_, shard, &last_executed_);
-  return last_executed_;
-}
-
-std::size_t ActiveMeasurer::sweep_grid_lease(
-    const std::vector<GridRequest>& requests, ResultStoreFile& store,
-    const std::string& lease_path, std::ostream& out,
-    const interfere::CSThrConfig& cs, const interfere::BWThrConfig& bw) {
-  if (store_ == nullptr || store.store() != store_)
-    throw std::logic_error(
-        "sweep_grid_lease: set_store must point at the lease-bound store "
-        "file — leased results only exist as its records");
-  std::vector<WorkloadId> ids;
-  const ExperimentPlan plan = build_grid(requests, ids);
-  const auto report = run_lease_worker(plan, grid_runner(cs, bw), pool_,
-                                       store, lease_path, out);
-  last_planned_ = report.points;
-  last_executed_ = report.executed;
-  return last_executed_;
-}
-
-void ActiveMeasurer::sweep_grid_emit_plan(
-    const std::vector<GridRequest>& requests, const std::string& path,
-    const interfere::CSThrConfig& cs, const interfere::BWThrConfig& bw) {
-  std::vector<WorkloadId> ids;
-  const ExperimentPlan plan = build_grid(requests, ids);
-  emit_plan_info(plan, grid_runner(cs, bw), store_, path);
 }
 
 ResourceBounds ActiveMeasurer::bounds(const SweepResult& sweep,

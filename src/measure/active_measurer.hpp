@@ -6,7 +6,6 @@
 // amount of resource each application process actively uses (§IV).
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -83,10 +82,9 @@ class ActiveMeasurer {
     checkpoint_ = std::move(checkpoint);
   }
 
-  /// Engine runs actually executed by the most recent sweep_grid /
-  /// sweep_grid_shard call (cache hits excluded), and the number of grid
-  /// points that call was responsible for (its shard of the plan). The
-  /// difference is the cache hits.
+  /// Engine runs actually executed by the most recent sweep_grid call
+  /// (cache hits excluded), and the number of grid points it planned.
+  /// The difference is the cache hits.
   std::size_t last_executed() const { return last_executed_; }
   std::size_t last_planned() const { return last_planned_; }
 
@@ -105,36 +103,19 @@ class ActiveMeasurer {
                                      const interfere::CSThrConfig& cs = {},
                                      const interfere::BWThrConfig& bw = {});
 
-  /// Runs only `shard` of the grid's plan into the configured store (which
-  /// must be set) and returns the number of engine runs executed. No
-  /// sweeps are assembled — a sharded table is partial by construction;
-  /// merge the shard stores (amresult) and re-run sweep_grid against the
-  /// merged store to assemble the full grid with zero engine runs.
-  std::size_t sweep_grid_shard(const std::vector<GridRequest>& requests,
-                               ShardRange shard,
-                               const interfere::CSThrConfig& cs = {},
-                               const interfere::BWThrConfig& bw = {});
+  /// The ExperimentPlan sweep_grid runs for `requests`: per request one
+  /// workload (ids in request order, appended to `ids` when non-null)
+  /// with its storage and bandwidth sweeps. Throws std::invalid_argument
+  /// when a sweep outruns the calibration. Together with grid_runner it
+  /// is what a worker invocation hands measure::run_worker_mode, so
+  /// probe, lease and shard runs see exactly sweep_grid's points.
+  ExperimentPlan build_grid(const std::vector<GridRequest>& requests,
+                            std::vector<WorkloadId>* ids = nullptr) const;
 
-  /// Lease-worker counterpart of sweep_grid_shard: loop pulling leased
-  /// point batches of the grid's plan through `store` (which must be the
-  /// lease-bound ResultStoreFile whose ResultStore was passed to
-  /// set_store) until the scheduler drains the queue; progress lines go
-  /// to `out`. Returns total engine runs executed. See
-  /// measure::run_lease_worker for the protocol.
-  std::size_t sweep_grid_lease(const std::vector<GridRequest>& requests,
-                               ResultStoreFile& store,
-                               const std::string& lease_path,
-                               std::ostream& out,
-                               const interfere::CSThrConfig& cs = {},
-                               const interfere::BWThrConfig& bw = {});
-
-  /// Scheduler-probe counterpart (`--emit-plan`): writes the grid plan's
-  /// size and per-point cost estimates (measured run times from the
-  /// configured store when present, heuristic otherwise) to `path`.
-  void sweep_grid_emit_plan(const std::vector<GridRequest>& requests,
-                            const std::string& path,
-                            const interfere::CSThrConfig& cs = {},
-                            const interfere::BWThrConfig& bw = {});
+  /// The runner sweep_grid uses: the backend's machine and seed shared
+  /// by every level, and the set_store checkpoint.
+  SweepRunner grid_runner(const interfere::CSThrConfig& cs,
+                          const interfere::BWThrConfig& bw) const;
 
   /// Derives per-process bounds from a sweep, given how many application
   /// processes share each socket. `tolerance` is the degradation threshold
@@ -151,11 +132,6 @@ class ActiveMeasurer {
   double availability(Resource resource, std::uint32_t k) const;
   SweepResult assemble(const ResultTable& table, WorkloadId workload,
                        Resource resource, std::uint32_t max_threads) const;
-  ExperimentPlan build_grid(const std::vector<GridRequest>& requests,
-                            std::vector<WorkloadId>& ids) const;
-  SweepRunner grid_runner(const interfere::CSThrConfig& cs,
-                          const interfere::BWThrConfig& bw) const;
-
   SimBackend* backend_;
   CapacityCalibration capacity_;
   BandwidthCalibration bandwidth_;

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -837,16 +836,6 @@ LeaseWorkerReport run_daemon_worker(const DaemonWorkerOptions& opts,
   HeartbeatWriter heartbeat(lease_heartbeat_path(opts.lease_path));
 
   const auto run = [&](const LeaseOffer& offer) {
-    if (!opts.test_crash_marker.empty() &&
-        std::filesystem::exists(opts.test_crash_marker)) {
-      // Deterministic fault injection: the first worker to claim a
-      // batch while the marker exists consumes it and dies mid-lease.
-      std::error_code ec;
-      std::filesystem::remove(opts.test_crash_marker, ec);
-      log << "test crash marker claimed — raising SIGKILL\n";
-      log.flush();
-      std::raise(SIGKILL);
-    }
     if (offer.plan_path.empty() || offer.store_path.empty())
       throw std::invalid_argument(
           "daemon worker: offer carries no plan/store path — not a daemon "
@@ -874,19 +863,12 @@ LeaseWorkerReport run_daemon_worker(const DaemonWorkerOptions& opts,
     // Per-point checkpointing (throttled): a SIGKILL mid-batch loses at
     // most a second of finished engine runs, so the requeue re-runs
     // mostly cache hits.
-    std::optional<Clock::time_point> last_save;
-    const std::string& path = offer.store_path;
     const SweepRunner runner =
-        make_runner(cp.spec, [&last_save, &path](const ResultStore& s) {
-          if (!last_save || seconds_since(*last_save) >= 1.0) {
-            s.save(path);
-            last_save = Clock::now();
-          }
-        });
+        make_runner(cp.spec, checkpoint_to(offer.store_path));
     std::size_t executed = 0;
     runner.run_points(cp.plan, nullptr, &store, offer.lease.points,
                       &executed);
-    store.save(path);  // durable strictly before the receipt
+    store.save(offer.store_path);  // durable strictly before the receipt
     return executed;
   };
   return run_offer_loop(opts.lease_path, run, log, opts);

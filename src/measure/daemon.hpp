@@ -180,10 +180,6 @@ class SweepDaemon {
 /// offer names the plan to parse and the store to extend.
 struct DaemonWorkerOptions : LeaseWorkerOptions {
   std::string lease_path;
-  /// Fault injection: when this file exists at batch-claim time, the
-  /// worker deletes it and raises SIGKILL — at most one worker dies per
-  /// marker file, deterministically, mid-lease.
-  std::string test_crash_marker;
 };
 
 /// Runs run_offer_loop with a heartbeat, per fresh offer: parse the

@@ -1,8 +1,12 @@
 #include "measure/lease.hpp"
 
+#include <csignal>
+#include <filesystem>
+#include <iostream>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include "measure/dispatch.hpp"
@@ -25,6 +29,11 @@ SchedulingFlags parse_scheduling_flags(const Cli& cli) {
     throw std::invalid_argument(
         "--shard, --lease and --emit-plan are mutually exclusive");
   return flags;
+}
+
+bool claim_crash_marker(const std::string& path) {
+  std::error_code ec;
+  return std::filesystem::remove(path, ec);
 }
 
 LeaseWorkerReport run_offer_loop(const std::string& lease_path,
@@ -55,6 +64,12 @@ LeaseWorkerReport run_offer_loop(const std::string& lease_path,
           << " engine run(s)\n";
       return report;
     }
+    if (!opts.test_crash_marker.empty() &&
+        claim_crash_marker(opts.test_crash_marker)) {
+      out << "test crash marker claimed — raising SIGKILL\n";
+      out.flush();
+      std::raise(SIGKILL);
+    }
 
     const auto t0 = Clock::now();
     LeaseAck ack;
@@ -74,26 +89,58 @@ LeaseWorkerReport run_offer_loop(const std::string& lease_path,
   }
 }
 
-LeaseWorkerReport run_lease_worker(const ExperimentPlan& plan,
-                                   const SweepRunner& runner,
-                                   ThreadPool* pool, ResultStoreFile& store,
-                                   const std::string& lease_path,
-                                   std::ostream& out,
-                                   const LeaseWorkerOptions& opts) {
-  if (store.store() == nullptr)
-    throw std::invalid_argument(
-        "lease worker: a result store is required — leased results only "
-        "exist as store records");
-  return run_offer_loop(
-      lease_path,
-      [&](const LeaseOffer& offer) {
-        std::size_t executed = 0;
-        runner.run_points(plan, pool, store.store(), offer.lease.points,
-                          &executed);
-        store.save();
-        return executed;
-      },
-      out, opts);
+bool run_worker_mode(const Cli& cli, const ExperimentPlan& plan,
+                     const SweepRunner& runner, ResultStoreFile& store,
+                     ThreadPool* pool, std::ostream& out) {
+  const SchedulingFlags flags = parse_scheduling_flags(cli);
+  if (!flags.emit_plan_path.empty()) {
+    PlanInfo info;
+    info.points = plan.size();
+    info.costs = runner.estimate_costs(plan, store.store());
+    write_plan_info(flags.emit_plan_path, info);
+    out << "plan info: " << plan.size() << " point(s) -> "
+        << flags.emit_plan_path << "\n";
+    return true;
+  }
+  if (!flags.lease_path.empty()) {
+    if (store.store() == nullptr)
+      throw std::invalid_argument(
+          "lease worker: a result store is required — leased results only "
+          "exist as store records");
+    LeaseWorkerOptions opts;
+    opts.test_crash_marker = cli.get("test-crash-marker", "");
+    const auto report = run_offer_loop(
+        flags.lease_path,
+        [&](const LeaseOffer& offer) {
+          std::size_t executed = 0;
+          runner.run_points(plan, pool, store.store(), offer.lease.points,
+                            &executed);
+          store.save();
+          return executed;
+        },
+        out, opts);
+    store.finish(report.executed, report.points, out);
+    return true;
+  }
+  if (!flags.shard.sharded()) return false;
+  std::size_t executed = 0;
+  const auto table = runner.run(plan, pool, store.store(), flags.shard,
+                                &executed);
+  store.finish(executed, table.size(), out);  // prints the merge handoff
+  return true;
+}
+
+int run_worker_main(const std::string& name,
+                    const std::function<int()>& body) {
+  try {
+    return body();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << name << ": " << e.what() << "\n";
+    return kWorkerExitUsage;
+  } catch (const std::exception& e) {
+    std::cerr << name << ": " << e.what() << "\n";
+    return kWorkerExitRunFailed;
+  }
 }
 
 ResultStoreFile scheduling_store(const std::string& results_dir,
@@ -113,14 +160,6 @@ std::unique_ptr<HeartbeatWriter> start_worker_heartbeat(
         "lease file");
   return std::make_unique<HeartbeatWriter>(
       lease_heartbeat_path(flags.lease_path));
-}
-
-void emit_plan_info(const ExperimentPlan& plan, const SweepRunner& runner,
-                    const ResultStore* store, const std::string& path) {
-  PlanInfo info;
-  info.points = plan.size();
-  info.costs = runner.estimate_costs(plan, store);
-  write_plan_info(path, info);
 }
 
 }  // namespace am::measure

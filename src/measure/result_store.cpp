@@ -457,6 +457,26 @@ std::vector<std::string> ResultStore::hosts() const {
   return out;
 }
 
+std::function<void(const ResultStore&)> checkpoint_to(
+    std::string path, double min_interval_seconds) {
+  using Clock = std::chrono::steady_clock;
+  // Shared across std::function copies so every copy honors one throttle.
+  // `nullopt` = never saved: the first completed point always reaches disk.
+  // (An epoch-initialized time_point would not do — steady_clock counts
+  // from boot, so on a host up for less than the interval the first save
+  // would be wrongly throttled away.)
+  auto last = std::make_shared<std::optional<Clock::time_point>>();
+  return [path = std::move(path), min_interval_seconds,
+          last](const ResultStore& store) {
+    const auto now = Clock::now();
+    if (*last &&
+        now - **last < std::chrono::duration<double>(min_interval_seconds))
+      return;
+    *last = now;
+    store.save(path);
+  };
+}
+
 ResultStoreFile::ResultStoreFile(const std::string& results_dir,
                                  const std::string& driver, ShardRange shard)
     : shard_(shard), driver_(driver), results_dir_(results_dir) {
@@ -498,21 +518,7 @@ void ResultStoreFile::save() {
 std::function<void(const ResultStore&)> ResultStoreFile::checkpointer(
     double min_interval_seconds) const {
   if (path_.empty()) return nullptr;
-  using Clock = std::chrono::steady_clock;
-  // Shared across std::function copies so every copy honors one throttle.
-  // `nullopt` = never saved: the first completed point always reaches disk.
-  // (An epoch-initialized time_point would not do — steady_clock counts
-  // from boot, so on a host up for less than the interval the first save
-  // would be wrongly throttled away.)
-  auto last = std::make_shared<std::optional<Clock::time_point>>();
-  return [path = path_, min_interval_seconds, last](const ResultStore& store) {
-    const auto now = Clock::now();
-    if (*last &&
-        now - **last < std::chrono::duration<double>(min_interval_seconds))
-      return;
-    *last = now;
-    store.save(path);
-  };
+  return checkpoint_to(path_, min_interval_seconds);
 }
 
 bool ResultStoreFile::finish(std::size_t executed, std::size_t planned,

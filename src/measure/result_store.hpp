@@ -186,6 +186,17 @@ class ResultStore {
   std::map<std::string, ResultRecord> records_;  // fingerprint → record
 };
 
+/// A SweepRunnerOptions::checkpoint callback persisting the store to
+/// `path` as points complete — at most once per `min_interval_seconds`
+/// (0 = every point), because the store is rewritten whole and a
+/// per-point save would cost O(n²) serialization over a large grid while
+/// stalling pool workers behind each save. The first completed point
+/// always saves; saves are atomic, so a kill mid-save keeps the previous
+/// checkpoint and a kill between saves loses at most an interval of
+/// finished runs. Copies of the callback share one throttle.
+std::function<void(const ResultStore&)> checkpoint_to(
+    std::string path, double min_interval_seconds = 1.0);
+
 /// Driver convenience: the store file backing one invocation, named per
 /// the store_path policy. Loads an existing file on construction; records
 /// for other simulated machines (e.g. another --scale) coexist harmlessly
@@ -221,15 +232,9 @@ class ResultStoreFile {
   /// durable results first, receipt second.
   void save();
 
-  /// A SweepRunnerOptions::checkpoint callback persisting this file as
-  /// points complete — at most once per `min_interval_seconds` (0 = every
-  /// point), because the store is rewritten whole and a per-point save
-  /// would cost O(n²) serialization over a large grid while stalling pool
-  /// workers behind each save. The first completed point always saves;
-  /// saves are atomic, so a kill mid-save keeps the previous checkpoint
-  /// and a kill between saves loses at most an interval of finished runs
-  /// (finish() persists everything unconditionally). Null when the store
-  /// is disabled — assignable to the option unconditionally, like store().
+  /// checkpoint_to(path()) — null when the store is disabled, so it is
+  /// assignable to SweepRunnerOptions::checkpoint unconditionally, like
+  /// store(). finish() persists everything unconditionally.
   std::function<void(const ResultStore&)> checkpointer(
       double min_interval_seconds = 1.0) const;
 

@@ -144,6 +144,22 @@ TEST(Cli, AmsweepFlagsParseStrictly) {
   const auto cli = make({"--driver-name=fig9", "--retires", "3"});
   EXPECT_EQ(cli.get("driver-name", "x"), "fig9");
   EXPECT_EQ(cli.unused(), std::vector<std::string>{"retires"});
+  EXPECT_THROW(cli.reject_unused(), std::invalid_argument);
+  (void)cli.get_int("retires", 1);
+  EXPECT_NO_THROW(cli.reject_unused());
+}
+
+TEST(Cli, SecondsMustBeFiniteAndNonNegative) {
+  // strtod parses "nan" and "inf"; a duration must reject them (and
+  // negatives) before they reach sleep_for or a socket timeout.
+  EXPECT_DOUBLE_EQ(make({}).get_seconds("t", 0.5), 0.5);
+  EXPECT_DOUBLE_EQ(make({"--t=0"}).get_seconds("t", 0.5), 0.0);
+  EXPECT_DOUBLE_EQ(make({"--t=2.5"}).get_seconds("t", 0.5), 2.5);
+  for (const char* bad :
+       {"--t=nan", "--t=NAN", "--t=inf", "--t=-inf", "--t=-1", "--t=-0.5",
+        "--t=1e999", "--t=soon"})
+    EXPECT_THROW(make({bad}).get_seconds("t", 0.5), std::invalid_argument)
+        << bad;
 }
 
 }  // namespace

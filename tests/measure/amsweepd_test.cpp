@@ -16,7 +16,9 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -26,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/work_lease.hpp"
 
 namespace am::measure {
@@ -543,6 +546,95 @@ TEST_F(SweepDaemonTest, UnspawnableWorkerCommandFailsJobNotDaemon) {
   EXPECT_EQ(reply.state, JobState::kFailed);
   const auto report = harness.drain();
   EXPECT_TRUE(report.clean_exit) << report.error;
+}
+
+// --- the crash-marker claim (measure/lease.hpp) ----------------------------
+
+TEST_F(SweepDaemonTest, CrashMarkerHasExactlyOneClaimantAmongRacers) {
+  // The claim is the unlink itself: however many workers race for one
+  // marker file, exactly one may die. (An exists()-then-remove() claim
+  // lets several see the file and all raise SIGKILL.)
+  const std::string marker = dir() + "/crash.marker";
+  constexpr int kRounds = 50;
+  constexpr int kThreads = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    std::ofstream(marker) << "";
+    std::atomic<bool> go{false};
+    std::atomic<int> winners{0};
+    std::vector<std::thread> racers;
+    for (int t = 0; t < kThreads; ++t)
+      racers.emplace_back([&] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        if (claim_crash_marker(marker)) winners.fetch_add(1);
+      });
+    go.store(true, std::memory_order_release);
+    for (auto& r : racers) r.join();
+    ASSERT_EQ(winners.load(), 1) << "round " << round;
+    EXPECT_FALSE(fs::exists(marker));
+  }
+  EXPECT_FALSE(claim_crash_marker(marker)) << "nothing left to claim";
+}
+
+TEST_F(SweepDaemonTest, FreshOfferClaimsTheCrashMarkerAndDiesBySigkill) {
+  const std::string lease = dir() + "/wrk0.lease";
+  const std::string marker = dir() + "/crash.marker";
+  std::ofstream(marker) << "";
+  LeaseOffer off;
+  off.lease.id = 1;
+  off.lease.points = {0};
+  write_lease_offer(lease, off);
+  LeaseWorkerOptions opts;
+  opts.poll_seconds = 0.002;
+  opts.test_crash_marker = marker;
+  std::ostringstream log;
+  EXPECT_EXIT(run_offer_loop(
+                  lease, [](const LeaseOffer&) { return std::size_t{0}; },
+                  log, opts),
+              ::testing::KilledBySignal(SIGKILL), "");
+  EXPECT_FALSE(fs::exists(marker)) << "the dying worker consumed it";
+  EXPECT_FALSE(fs::exists(lease_ack_path(lease)))
+      << "the worker died before running the offer, holding the lease";
+}
+
+TEST_F(SweepDaemonTest, ProbesAndDoneOffersNeverClaimTheCrashMarker) {
+  const std::string marker = dir() + "/crash.marker";
+  std::ofstream(marker) << "";
+
+  // A --emit-plan probe answers with plan info and never enters the
+  // offer loop, so it cannot steal the injection meant for a worker.
+  const std::string info = dir() + "/plan.info";
+  std::vector<std::string> args{"driver", "--emit-plan", info,
+                                "--test-crash-marker", marker};
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  const Cli cli(static_cast<int>(argv.size()), argv.data());
+  const PlanSpec spec = tiny_spec();
+  ResultStoreFile no_store("", "driver");
+  std::ostringstream out;
+  EXPECT_TRUE(run_worker_mode(cli, build_plan(spec), make_runner(spec),
+                              no_store, nullptr, out));
+  EXPECT_TRUE(fs::exists(info)) << out.str();
+  EXPECT_TRUE(fs::exists(marker)) << "the probe claimed the marker";
+
+  // A done offer ends the loop without running anything — and without
+  // a claim, so a worker that only ever sees the drained queue lives.
+  const std::string lease = dir() + "/wrk0.lease";
+  LeaseOffer done;
+  done.lease.id = 1;
+  done.done = true;
+  write_lease_offer(lease, done);
+  LeaseWorkerOptions opts;
+  opts.poll_seconds = 0.002;
+  opts.test_crash_marker = marker;
+  const auto report = run_offer_loop(
+      lease,
+      [](const LeaseOffer&) -> std::size_t {
+        ADD_FAILURE() << "a done offer must not be run";
+        return 0;
+      },
+      out, opts);
+  EXPECT_EQ(report.leases, 0u);
+  EXPECT_TRUE(fs::exists(marker)) << "the done offer claimed the marker";
 }
 
 }  // namespace
