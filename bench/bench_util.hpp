@@ -137,7 +137,9 @@ inline measure::ResultStoreFile make_store(const BenchContext& ctx) {
 /// parses the common flags, starts the `--worker` heartbeat, then runs
 /// `body(cli, ctx)` under measure::run_worker_main's exit-code map. The
 /// body hands its plan to measure::run_worker_mode, which answers the
-/// scheduler's probe, lease and shard invocations.
+/// scheduler's probe, lease and shard invocations and rejects unknown
+/// flags before any point runs. A driver without a grid meets the same
+/// check after its body: an unknown flag still exits 2 (usage).
 template <typename Body>
 int run_driver(int argc, char** argv, const std::string& driver,
                std::uint32_t default_scale, std::uint32_t nodes,
@@ -148,7 +150,9 @@ int run_driver(int argc, char** argv, const std::string& driver,
     ctx.driver = driver;
     const auto heartbeat =
         measure::start_worker_heartbeat(cli, ctx.scheduling);
-    return body(cli, ctx);
+    const int status = body(cli, ctx);
+    cli.reject_unused();
+    return status;
   });
 }
 

@@ -31,19 +31,10 @@ int fig12(const am::Cli& cli, am::bench::BenchContext& ctx) {
   // without --results-dir) must fire before minutes of calibration work.
   auto store = am::bench::make_store(ctx);
 
-  am::measure::CalibrationOptions copts;
-  copts.max_threads = quick ? 2 : 5;
-  copts.buffer_to_l3_ratios = {2.5};
-  copts.probe_distributions = {9};
-  copts.accesses_per_probe = quick ? 20'000 : 150'000;
-  copts.seed = ctx.seed;
-  const auto cap_calib =
-      am::measure::calibrate_capacity(ctx.machine, ctx.cs_config(), copts);
-  const auto bw_calib = am::measure::calibrate_bandwidth(
-      ctx.machine, ctx.bw_config(), 2, ctx.seed);
-
+  // Calibrated only on the bounds path below: probe, lease and shard
+  // invocations run the grid's points, which do not depend on it.
   am::measure::SimBackend backend(ctx.machine, ctx.seed);
-  am::measure::ActiveMeasurer measurer(backend, cap_calib, bw_calib);
+  am::measure::ActiveMeasurer measurer(backend);
   am::ThreadPool pool;
   measurer.set_pool(&pool);
   measurer.set_store(store.store(), store.checkpointer());
@@ -68,6 +59,17 @@ int fig12(const am::Cli& cli, am::bench::BenchContext& ctx) {
           measurer.grid_runner(ctx.cs_config(), ctx.bw_config()), store,
           &pool, std::cout))
     return 0;  // worker/probe: merge the stores, then re-run to print
+
+  am::measure::CalibrationOptions copts;
+  copts.max_threads = quick ? 2 : 5;
+  copts.buffer_to_l3_ratios = {2.5};
+  copts.probe_distributions = {9};
+  copts.accesses_per_probe = quick ? 20'000 : 150'000;
+  copts.seed = ctx.seed;
+  measurer.set_calibration(
+      am::measure::calibrate_capacity(ctx.machine, ctx.cs_config(), copts),
+      am::measure::calibrate_bandwidth(ctx.machine, ctx.bw_config(), 2,
+                                       ctx.seed));
   const auto sweeps =
       measurer.sweep_grid(requests, ctx.cs_config(), ctx.bw_config());
   store.finish(measurer.last_executed(), measurer.last_planned(), std::cout);

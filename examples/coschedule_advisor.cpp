@@ -57,15 +57,10 @@ int advise(const am::Cli& cli) {
   am::interfere::BWThrConfig bw;
   bw.buffer_bytes = 520ull * 1024 / kScale;
 
-  am::measure::CalibrationOptions copts;
-  copts.buffer_to_l3_ratios = {2.5};
-  copts.probe_distributions = {9};
-  copts.accesses_per_probe = accesses * 2 / 3;  // 100k at the 150k default
-  const auto cap_calib = am::measure::calibrate_capacity(machine, cs, copts);
-  const auto bw_calib = am::measure::calibrate_bandwidth(machine, bw, 2);
-
+  // Calibrated only once the sweeps become profiles below: probe, lease
+  // and shard invocations run the grid's points, which do not depend on it.
   am::measure::SimBackend backend(machine);
-  am::measure::ActiveMeasurer measurer(backend, cap_calib, bw_calib);
+  am::measure::ActiveMeasurer measurer(backend);
   am::ThreadPool pool;
   measurer.set_pool(&pool);
 
@@ -88,6 +83,13 @@ int advise(const am::Cli& cli) {
                                    measurer.grid_runner(cs, bw), store,
                                    &pool, std::cout))
     return 0;  // worker/probe: merge the stores, then re-run to print
+
+  am::measure::CalibrationOptions copts;
+  copts.buffer_to_l3_ratios = {2.5};
+  copts.probe_distributions = {9};
+  copts.accesses_per_probe = accesses * 2 / 3;  // 100k at the 150k default
+  measurer.set_calibration(am::measure::calibrate_capacity(machine, cs, copts),
+                           am::measure::calibrate_bandwidth(machine, bw, 2));
   const auto sweeps = measurer.sweep_grid(requests, cs, bw);
   store.finish(measurer.last_executed(), measurer.last_planned(), std::cout);
   auto profile = [](const char* name, const am::measure::GridSweeps& s) {

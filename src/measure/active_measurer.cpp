@@ -75,12 +75,9 @@ SweepResult ActiveMeasurer::sweep(const SimBackend::WorkloadFactory& factory,
 }
 
 ExperimentPlan ActiveMeasurer::build_grid(
-    const std::vector<GridRequest>& requests,
-    std::vector<WorkloadId>* ids) const {
+    const std::vector<GridRequest>& requests, std::vector<WorkloadId>* ids) {
   ExperimentPlan plan;
   for (const auto& req : requests) {
-    check_calibration(Resource::kCacheStorage, req.storage_threads);
-    check_calibration(Resource::kBandwidth, req.bandwidth_threads);
     const auto id = plan.add_workload({req.name, req.factory});
     plan.add_sweep(id, Resource::kCacheStorage, 0, req.storage_threads);
     plan.add_sweep(id, Resource::kBandwidth, 0, req.bandwidth_threads);
@@ -103,6 +100,10 @@ SweepRunner ActiveMeasurer::grid_runner(
 std::vector<GridSweeps> ActiveMeasurer::sweep_grid(
     const std::vector<GridRequest>& requests,
     const interfere::CSThrConfig& cs, const interfere::BWThrConfig& bw) {
+  for (const auto& req : requests) {
+    check_calibration(Resource::kCacheStorage, req.storage_threads);
+    check_calibration(Resource::kBandwidth, req.bandwidth_threads);
+  }
   std::vector<WorkloadId> ids;
   const ExperimentPlan plan = build_grid(requests, &ids);
   last_planned_ = plan.size();

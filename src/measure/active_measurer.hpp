@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -64,6 +65,19 @@ class ActiveMeasurer {
   /// The calibrations translate thread counts into resource availability.
   ActiveMeasurer(SimBackend& backend, CapacityCalibration capacity,
                  BandwidthCalibration bandwidth);
+  /// An uncalibrated measurer: it builds and runs grids (build_grid,
+  /// grid_runner), which is all a worker invocation needs; sweep and
+  /// sweep_grid throw until set_calibration supplies the calibrations.
+  explicit ActiveMeasurer(SimBackend& backend)
+      : ActiveMeasurer(backend, {}, {}) {}
+
+  /// Replaces the calibrations, so a driver can calibrate only on the
+  /// path that assembles sweeps into bounds.
+  void set_calibration(CapacityCalibration capacity,
+                       BandwidthCalibration bandwidth) {
+    capacity_ = std::move(capacity);
+    bandwidth_ = std::move(bandwidth);
+  }
 
   /// Experiments run over this pool from now on (nullptr = serially).
   /// Results never depend on the pool: each experiment's seed is a function
@@ -98,19 +112,21 @@ class ActiveMeasurer {
 
   /// Executes several workloads' storage and bandwidth sweeps as one
   /// ExperimentPlan: one shared baseline per workload (instead of one per
-  /// sweep) and one pool barrier for the whole grid.
+  /// sweep) and one pool barrier for the whole grid. Throws
+  /// std::invalid_argument, before any point runs, when a sweep outruns
+  /// the calibration.
   std::vector<GridSweeps> sweep_grid(const std::vector<GridRequest>& requests,
                                      const interfere::CSThrConfig& cs = {},
                                      const interfere::BWThrConfig& bw = {});
 
   /// The ExperimentPlan sweep_grid runs for `requests`: per request one
   /// workload (ids in request order, appended to `ids` when non-null)
-  /// with its storage and bandwidth sweeps. Throws std::invalid_argument
-  /// when a sweep outruns the calibration. Together with grid_runner it
-  /// is what a worker invocation hands measure::run_worker_mode, so
-  /// probe, lease and shard runs see exactly sweep_grid's points.
-  ExperimentPlan build_grid(const std::vector<GridRequest>& requests,
-                            std::vector<WorkloadId>* ids = nullptr) const;
+  /// with its storage and bandwidth sweeps. The points do not depend on
+  /// the calibration. Together with grid_runner it is what a worker
+  /// invocation hands measure::run_worker_mode, so probe, lease and
+  /// shard runs see exactly sweep_grid's points.
+  static ExperimentPlan build_grid(const std::vector<GridRequest>& requests,
+                                   std::vector<WorkloadId>* ids = nullptr);
 
   /// The runner sweep_grid uses: the backend's machine and seed shared
   /// by every level, and the set_store checkpoint.

@@ -93,6 +93,11 @@ bool run_worker_mode(const Cli& cli, const ExperimentPlan& plan,
                      const SweepRunner& runner, ResultStoreFile& store,
                      ThreadPool* pool, std::ostream& out) {
   const SchedulingFlags flags = parse_scheduling_flags(cli);
+  LeaseWorkerOptions opts;
+  opts.test_crash_marker = cli.get("test-crash-marker", "");
+  // The caller has read all of its flags by now, so a typo'd one fails
+  // here, before any point runs, whatever the mode.
+  cli.reject_unused();
   if (!flags.emit_plan_path.empty()) {
     PlanInfo info;
     info.points = plan.size();
@@ -107,8 +112,6 @@ bool run_worker_mode(const Cli& cli, const ExperimentPlan& plan,
       throw std::invalid_argument(
           "lease worker: a result store is required — leased results only "
           "exist as store records");
-    LeaseWorkerOptions opts;
-    opts.test_crash_marker = cli.get("test-crash-marker", "");
     const auto report = run_offer_loop(
         flags.lease_path,
         [&](const LeaseOffer& offer) {

@@ -111,7 +111,9 @@ LeaseWorkerReport run_offer_loop(const std::string& lease_path,
 
 /// The scheduling-mode switch (see the file comment) for a driver's
 /// plan, runner, store (scheduling_store over the same flags) and pool;
-/// reads the mode flags and `--test-crash-marker` from `cli`. Under
+/// reads the mode flags and `--test-crash-marker` from `cli`, then
+/// rejects (std::invalid_argument, before any work) every flag nobody
+/// has queried — so the caller reads all of its own flags first. Under
 /// `--lease` the store is required and saved before every ack, and a
 /// lease naming out-of-range plan indices throws std::invalid_argument
 /// (scheduler and worker disagree about the plan). True = the invocation

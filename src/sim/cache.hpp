@@ -2,7 +2,15 @@
 // Set-associative cache model with per-line LRU stamps, dirty bits, owner
 // tags (for occupancy accounting in validation tests) and sharer masks
 // (for inclusive-L3 back-invalidation).
+//
+// Storage is column-major per set: each set is one contiguous block
+// holding its `ways` tags, then its stamps, sharer masks, owners and
+// dirty bits. An invalid way holds the tag kNoLine, so the hit test is
+// one compare per way, and every set walk is a branch-free scan of all
+// ways (find_way) — no early exit, no per-way validity branch.
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -82,12 +90,13 @@ class Cache {
   /// to report.
   bool try_fast_hit(Addr line_addr, std::uint32_t sharer_bit, bool is_store) {
     if (filter_.empty()) return false;
-    const FilterSlot slot = filter_[indexer_.index(line_addr)];
+    const std::uint64_t set = indexer_.index(line_addr);
+    const FilterSlot slot = filter_[set];
     if (slot.tag != line_addr) return false;
-    Line& line = lines_[slot.line_index];
-    line.stamp = ++stamp_;
-    line.sharers |= sharer_bit;
-    line.dirty |= is_store;
+    const Set s = set_at(set);
+    s.stamp[slot.way] = ++stamp_;
+    s.sharers[slot.way] |= sharer_bit;
+    s.dirty[slot.way] |= is_store;
     return true;
   }
 
@@ -100,7 +109,7 @@ class Cache {
   /// results cannot depend on it.
   void prefetch_set(Addr line_addr) const {
     const std::uint64_t set = indexer_.index(line_addr);
-    __builtin_prefetch(&lines_[set * config_.ways]);
+    __builtin_prefetch(set_at(set).tag);
     if (!filter_.empty()) __builtin_prefetch(&filter_[set]);
   }
 
@@ -129,43 +138,51 @@ class Cache {
   const CacheConfig& config() const { return config_; }
 
  private:
-  struct Line {
-    Addr tag = 0;
-    std::uint64_t stamp = 0;
-    std::uint32_t sharers = 0;
-    std::uint16_t owner = 0;
-    bool valid = false;
-    bool dirty = false;
+  /// One set's columns inside its block, each `ways` entries long.
+  struct Set {
+    Addr* tag;              // kNoLine = invalid way
+    std::uint64_t* stamp;   // LRU stamp (meaningless when invalid)
+    std::uint32_t* sharers;
+    std::uint16_t* owner;
+    bool* dirty;
   };
 
   /// One filter entry per set: the set's most-recently-accessed line and
-  /// its position in lines_. `kNoLine` marks an empty slot (line addresses
+  /// the way holding it. `kNoLine` marks an empty slot (line addresses
   /// are byte addresses >> line shift, so the all-ones tag is unreachable).
   struct FilterSlot {
     Addr tag = kNoLine;
-    std::uint32_t line_index = 0;
+    std::uint32_t way = 0;
   };
   static constexpr Addr kNoLine = ~Addr{0};
 
-  std::size_t set_base(Addr line_addr) const;
-  /// Points the set's filter slot at lines_[index] (no-op when disabled).
-  void filter_update(Addr line_addr, std::size_t index) {
-    if (filter_.empty()) return;
-    filter_[indexer_.index(line_addr)] = {line_addr,
-                                          static_cast<std::uint32_t>(index)};
+  /// The columns of set `set`. Each column is read and written only
+  /// through its own element type, inside the byte storage.
+  Set set_at(std::uint64_t set) const {
+    const std::uint32_t ways = config_.ways;
+    void* const block = storage_.get() + set * set_bytes_;
+    Addr* const tag = static_cast<Addr*>(block);
+    std::uint64_t* const stamp = tag + ways;
+    auto* const sharers = static_cast<std::uint32_t*>(
+        static_cast<void*>(stamp + ways));
+    auto* const owner = static_cast<std::uint16_t*>(
+        static_cast<void*>(sharers + ways));
+    auto* const dirty = static_cast<bool*>(static_cast<void*>(owner + ways));
+    return {tag, stamp, sharers, owner, dirty};
   }
-  /// Clears the set's filter slot if it names `line_addr` (invalidation).
-  void filter_drop(Addr line_addr) {
+
+  /// Points the set's filter slot at `way` (no-op when disabled).
+  void filter_update(std::uint64_t set, Addr line_addr, std::uint32_t way) {
     if (filter_.empty()) return;
-    const std::uint64_t set = indexer_.index(line_addr);
-    if (filter_[set].tag == line_addr) filter_[set] = FilterSlot{};
+    filter_[set] = {line_addr, way};
   }
 
   CacheConfig config_;
   Rng victim_rng_{0x51ed270b7a64e5c4ull};  // deterministic random policy
   SetIndexer indexer_;
   std::uint64_t stamp_ = 0;  // per-cache logical clock for LRU
-  std::vector<Line> lines_;  // ways contiguous per set
+  std::size_t set_bytes_ = 0;  // bytes of one set's block
+  std::unique_ptr<std::byte[]> storage_;  // num_sets blocks of set_bytes_
   std::vector<FilterSlot> filter_;  // one per set; empty = filter disabled
 };
 

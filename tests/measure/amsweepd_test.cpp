@@ -637,5 +637,29 @@ TEST_F(SweepDaemonTest, ProbesAndDoneOffersNeverClaimTheCrashMarker) {
   EXPECT_TRUE(fs::exists(marker)) << "the done offer claimed the marker";
 }
 
+TEST_F(SweepDaemonTest, WorkerModeRejectsUnknownFlagsBeforeAnyWork) {
+  // A typo'd flag is a usage error in every mode, raised before the mode
+  // does anything: no plan info is written and no shard point runs.
+  const std::string info = dir() + "/plan.info";
+  const std::vector<std::vector<std::string>> modes{
+      {}, {"--emit-plan", info}, {"--shard", "0/2"}};
+  const PlanSpec spec = tiny_spec();
+  for (const auto& mode : modes) {
+    std::vector<std::string> args{"driver", "--bogus-flag", "3"};
+    args.insert(args.end(), mode.begin(), mode.end());
+    std::vector<char*> argv;
+    for (auto& a : args) argv.push_back(a.data());
+    const Cli cli(static_cast<int>(argv.size()), argv.data());
+    ResultStoreFile no_store("", "driver");
+    std::ostringstream out;
+    EXPECT_THROW(run_worker_mode(cli, build_plan(spec), make_runner(spec),
+                                 no_store, nullptr, out),
+                 std::invalid_argument)
+        << args.size() << " args";
+    EXPECT_EQ(out.str(), "") << "the mode did work before rejecting";
+  }
+  EXPECT_FALSE(fs::exists(info));
+}
+
 }  // namespace
 }  // namespace am::measure

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "reference/reference_prefetcher.hpp"
 
 namespace am::sim {
 namespace {
@@ -236,78 +237,6 @@ TEST(StreamPrefetcher, AcceptsLargestTableAndDisabledZeroGeometry) {
 
 // --- Independent oracle ---------------------------------------------------
 
-/// The documented contract executed literally: an array of structs, three
-/// full passes per miss, and a minimum-tick scan for the LRU victim.
-class ReferencePrefetcher {
- public:
-  explicit ReferencePrefetcher(PrefetcherConfig c)
-      : c_(c), streams_(c.num_streams) {}
-
-  void on_miss(Addr line, std::vector<Addr>& out) {
-    if (!c_.enabled) return;
-    ++tick_;
-    // 1. Continue the first armed stream whose next line is this one.
-    for (Stream& s : streams_) {
-      if (!s.valid || s.confidence == 0) continue;
-      const std::int64_t expected =
-          static_cast<std::int64_t>(s.last) + s.stride;
-      if (expected < 0 || static_cast<Addr>(expected) != line) continue;
-      s.last = line;
-      s.lru = tick_;
-      if (s.confidence < c_.confirm_threshold &&
-          ++s.confidence == c_.confirm_threshold)
-        ++confirmed_;
-      if (s.confidence < c_.confirm_threshold) return;
-      for (std::uint32_t k = 1; k <= c_.degree; ++k) {
-        const std::int64_t t = static_cast<std::int64_t>(line) +
-                               s.stride * static_cast<std::int64_t>(k);
-        if (t >= 0 && static_cast<Addr>(t) / c_.page_lines ==
-                          line / c_.page_lines)
-          out.push_back(static_cast<Addr>(t));
-      }
-      return;
-    }
-    // 2. Re-arm the first fresh stream within the stride window.
-    for (Stream& s : streams_) {
-      if (!s.valid || s.confidence != 0) continue;
-      const std::int64_t delta = static_cast<std::int64_t>(line) -
-                                 static_cast<std::int64_t>(s.last);
-      if (delta == 0 || std::llabs(delta) > c_.max_stride_lines) continue;
-      s.stride = delta;
-      s.last = line;
-      s.confidence = 1;
-      s.lru = tick_;
-      return;
-    }
-    // 3. Allocate the first unused slot, else the minimum-tick stream.
-    Stream* victim = nullptr;
-    for (Stream& s : streams_) {
-      if (!s.valid) {
-        victim = &s;
-        break;
-      }
-      if (victim == nullptr || s.lru < victim->lru) victim = &s;
-    }
-    *victim = Stream{line, 0, 0, tick_, true};
-  }
-
-  std::uint64_t streams_confirmed() const { return confirmed_; }
-
- private:
-  struct Stream {
-    Addr last = 0;
-    std::int64_t stride = 0;
-    std::uint32_t confidence = 0;
-    std::uint64_t lru = 0;
-    bool valid = false;
-  };
-
-  PrefetcherConfig c_;
-  std::vector<Stream> streams_;
-  std::uint64_t tick_ = 0;
-  std::uint64_t confirmed_ = 0;
-};
-
 /// Miss traffic mixing everything the table distinguishes: random misses,
 /// interleaved positive and negative strides (inside and just outside the
 /// window) that run across page boundaries and below line 0, repeats, and
@@ -364,7 +293,7 @@ TEST(StreamPrefetcher, MatchesReferenceModelOnRandomConfigsAndTraffic) {
     c.max_stride_lines = static_cast<std::uint32_t>(rng.bounded(17));
     c.page_lines = 1 + static_cast<std::uint32_t>(rng.bounded(128));
     StreamPrefetcher pf(c);
-    ReferencePrefetcher ref(c);
+    reference::ReferencePrefetcher ref(c);
     Traffic traffic(rng, c);
     // A non-empty start: candidates are appended, never cleared.
     std::vector<Addr> got{7};
