@@ -32,11 +32,7 @@ class LinearCS final : public am::sim::Agent {
   std::uint64_t cursor_ = 0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  am::Cli cli(argc, argv);
-  const auto ctx = am::bench::make_context(cli, /*default_scale=*/8);
+int abl(const am::Cli& cli, const am::bench::BenchContext& ctx) {
   const auto accesses =
       static_cast<std::uint64_t>(cli.get_int("accesses", 250'000));
   const std::uint64_t probe_elements = ctx.machine.l3.size_bytes / 2;
@@ -76,4 +72,11 @@ int main(int argc, char** argv) {
                   "Ablation: CSThr touch order (paper: random denies more "
                   "because every touch misses the private caches)");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return am::bench::run_driver(argc, argv, "abl_access_pattern",
+                               /*default_scale=*/8, /*nodes=*/1, abl);
 }

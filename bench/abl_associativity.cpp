@@ -9,9 +9,9 @@
 #include "model/che_approximation.hpp"
 #include "model/distributions.hpp"
 
-int main(int argc, char** argv) {
-  am::Cli cli(argc, argv);
-  const auto base_ctx = am::bench::make_context(cli, /*default_scale=*/16);
+namespace {
+
+int abl(const am::Cli& cli, const am::bench::BenchContext& base_ctx) {
   const auto accesses =
       static_cast<std::uint64_t>(cli.get_int("accesses", 200'000));
   const std::uint64_t buffer = base_ctx.machine.l3.size_bytes * 3 / 2;
@@ -56,4 +56,11 @@ int main(int argc, char** argv) {
                   "(paper: error stems from the fully-associative "
                   "assumption; Che's approximation is our refinement)");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return am::bench::run_driver(argc, argv, "abl_associativity",
+                               /*default_scale=*/16, /*nodes=*/1, abl);
 }

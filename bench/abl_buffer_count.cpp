@@ -4,9 +4,9 @@
 // with memory-level parallelism until the line-fill-buffer limit).
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
-  am::Cli cli(argc, argv);
-  const auto ctx = am::bench::make_context(cli, /*default_scale=*/8);
+namespace {
+
+int abl(const am::Cli& cli, const am::bench::BenchContext& ctx) {
   const auto window = static_cast<am::sim::Cycles>(
       cli.get_int("cycles", 10'000'000));
 
@@ -41,4 +41,11 @@ int main(int argc, char** argv) {
                   "Ablation: BWThr bandwidth vs buffer count "
                   "(paper: 44 buffers found sufficient)");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return am::bench::run_driver(argc, argv, "abl_buffer_count",
+                               /*default_scale=*/8, /*nodes=*/1, abl);
 }

@@ -6,9 +6,9 @@
 // the Fig. 8 capacity-theft knee. This bench shows both regimes.
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
-  am::Cli cli(argc, argv);
-  const auto base_ctx = am::bench::make_context(cli, /*default_scale=*/8);
+namespace {
+
+int abl(const am::Cli& cli, const am::bench::BenchContext& base_ctx) {
   const auto operations =
       static_cast<std::uint64_t>(cli.get_int("operations", 300'000));
 
@@ -52,4 +52,11 @@ int main(int argc, char** argv) {
                   "Ablation: L3 insertion policy vs BWThr capacity theft "
                   "(paper's machine behaves like the MRU rows)");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return am::bench::run_driver(argc, argv, "abl_insertion",
+                               /*default_scale=*/8, /*nodes=*/1, abl);
 }

@@ -11,9 +11,9 @@
 #include "model/stack_distance.hpp"
 #include "sim/trace.hpp"
 
-int main(int argc, char** argv) {
-  am::Cli cli(argc, argv);
-  const auto ctx = am::bench::make_context(cli, /*default_scale=*/16);
+namespace {
+
+int abl(const am::Cli& cli, const am::bench::BenchContext& ctx) {
   const auto accesses =
       static_cast<std::uint64_t>(cli.get_int("accesses", 400'000));
   const auto dist_idx =
@@ -58,4 +58,11 @@ int main(int argc, char** argv) {
                       std::to_string(lines.size()) + " accesses, " +
                       dist.name() + ") vs analytic models");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return am::bench::run_driver(argc, argv, "abl_mrc",
+                               /*default_scale=*/16, /*nodes=*/1, abl);
 }

@@ -41,11 +41,7 @@ class Walker final : public am::sim::Agent {
   std::uint64_t done_ = 0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  am::Cli cli(argc, argv);
-  const auto ctx = am::bench::make_context(cli, /*default_scale=*/8);
+int abl(const am::Cli& cli, const am::bench::BenchContext& ctx) {
   const auto loads =
       static_cast<std::uint64_t>(cli.get_int("loads", 400'000));
   const std::uint64_t bytes = ctx.machine.l3.size_bytes * 4;
@@ -78,4 +74,11 @@ int main(int argc, char** argv) {
   am::bench::emit(t, ctx,
                   "Ablation: prefetcher contribution per access pattern");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return am::bench::run_driver(argc, argv, "abl_prefetcher",
+                               /*default_scale=*/8, /*nodes=*/1, abl);
 }

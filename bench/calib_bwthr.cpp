@@ -5,9 +5,9 @@
 
 #include "measure/calibration.hpp"
 
-int main(int argc, char** argv) {
-  am::Cli cli(argc, argv);
-  const auto ctx = am::bench::make_context(cli, /*default_scale=*/8);
+namespace {
+
+int calib(const am::Cli& cli, const am::bench::BenchContext& ctx) {
   const auto max_threads = static_cast<std::uint32_t>(
       cli.get_int("max-threads", ctx.machine.cores_per_socket - 1));
 
@@ -28,4 +28,11 @@ int main(int argc, char** argv) {
                       am::Table::num(calib.peak_bytes_per_sec / 1e9, 2) +
                       " GB/s; paper: 2.8 GB/s per thread of 17 GB/s)");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return am::bench::run_driver(argc, argv, "calib_bwthr",
+                               /*default_scale=*/8, /*nodes=*/1, calib);
 }

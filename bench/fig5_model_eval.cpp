@@ -11,9 +11,9 @@
 #include "bench_util.hpp"
 #include "model/distributions.hpp"
 
-int main(int argc, char** argv) {
-  am::Cli cli(argc, argv);
-  const auto ctx = am::bench::make_context(cli, /*default_scale=*/16);
+namespace {
+
+int fig5(const am::Cli& cli, const am::bench::BenchContext& ctx) {
   const auto num_sizes =
       static_cast<std::size_t>(cli.get_int("sizes", cli.get_bool("full", false) ? 22 : 8));
   const auto accesses = static_cast<std::uint64_t>(
@@ -63,4 +63,11 @@ int main(int argc, char** argv) {
                   "Fig. 5: EHR model error vs buffer size "
                   "(paper: avg < 0.10, avg+std <= 0.15, shrinking with size)");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return am::bench::run_driver(argc, argv, "fig5_model_eval",
+                               /*default_scale=*/16, /*nodes=*/1, fig5);
 }

@@ -12,9 +12,9 @@
 #include "bench_util.hpp"
 #include "model/distributions.hpp"
 
-int main(int argc, char** argv) {
-  am::Cli cli(argc, argv);
-  const auto ctx = am::bench::make_context(cli, /*default_scale=*/16);
+namespace {
+
+int fig6(const am::Cli& cli, const am::bench::BenchContext& ctx) {
   const bool full = cli.get_bool("full", false);
   const auto num_sizes =
       static_cast<std::size_t>(cli.get_int("sizes", full ? 22 : 3));
@@ -74,4 +74,11 @@ int main(int argc, char** argv) {
             " (paper column assumes the unscaled 20 MB L3)");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return am::bench::run_driver(argc, argv, "fig6_capacity_interference",
+                               /*default_scale=*/16, /*nodes=*/1, fig6);
 }

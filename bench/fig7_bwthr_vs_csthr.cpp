@@ -7,9 +7,9 @@
 // disturb the bandwidth thread.
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
-  am::Cli cli(argc, argv);
-  const auto ctx = am::bench::make_context(cli, /*default_scale=*/8);
+namespace {
+
+int fig7(const am::Cli& cli, const am::bench::BenchContext& ctx) {
   const auto max_threads =
       static_cast<std::uint32_t>(cli.get_int("max-threads", 5));
   // Paper: time for 1e7 iterations; scaled down for bench runtime.
@@ -53,4 +53,11 @@ int main(int argc, char** argv) {
   am::bench::emit(t, ctx,
                   "Fig. 7: BWThr behaviour vs CSThr count (paper: flat)");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return am::bench::run_driver(argc, argv, "fig7_bwthr_vs_csthr",
+                               /*default_scale=*/8, /*nodes=*/1, fig7);
 }

@@ -8,9 +8,9 @@
 // raises the CSThr's miss rate, op time and bandwidth use.
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
-  am::Cli cli(argc, argv);
-  const auto ctx = am::bench::make_context(cli, /*default_scale=*/8);
+namespace {
+
+int fig8(const am::Cli& cli, const am::bench::BenchContext& ctx) {
   const auto max_threads =
       static_cast<std::uint32_t>(cli.get_int("max-threads", 5));
   const auto operations = static_cast<std::uint64_t>(
@@ -52,4 +52,11 @@ int main(int argc, char** argv) {
                   "Fig. 8: CSThr behaviour vs BWThr count "
                   "(paper: flat through 2 BWThrs, degrading at 3+)");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return am::bench::run_driver(argc, argv, "fig8_csthr_vs_bwthr",
+                               /*default_scale=*/8, /*nodes=*/1, fig8);
 }

@@ -3,10 +3,9 @@
 // bench's platform is documented.
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
-  am::Cli cli(argc, argv);
-  const auto ctx = am::bench::make_context(cli, /*default_scale=*/1);
+namespace {
 
+int table1(const am::Cli& /*cli*/, const am::bench::BenchContext& ctx) {
   am::Table t({"Cache", "Scope", "Capacity", "Line Size", "Associativity",
                "Latency (cyc)"});
   const auto& m = ctx.machine;
@@ -34,4 +33,11 @@ int main(int argc, char** argv) {
                std::to_string(m.max_outstanding_misses)});
   am::bench::emit(sys, ctx, "Platform parameters");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return am::bench::run_driver(argc, argv, "table1_machine",
+                               /*default_scale=*/1, /*nodes=*/1, table1);
 }

@@ -5,9 +5,9 @@
 
 #include "model/distributions.hpp"
 
-int main(int argc, char** argv) {
-  am::Cli cli(argc, argv);
-  const auto ctx = am::bench::make_context(cli, 1);
+namespace {
+
+int table2(const am::Cli& cli, const am::bench::BenchContext& ctx) {
   const std::uint64_t n =
       static_cast<std::uint64_t>(cli.get_int("elements", 1'000'000));
 
@@ -32,4 +32,11 @@ int main(int argc, char** argv) {
   am::bench::emit(t, ctx, "Table II: memory access patterns (n = " +
                               std::to_string(n) + " elements)");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return am::bench::run_driver(argc, argv, "table2_distributions",
+                               /*default_scale=*/1, /*nodes=*/1, table2);
 }

@@ -20,6 +20,7 @@
 #include "measure/app_workloads.hpp"
 #include "measure/calibration.hpp"
 #include "measure/host_measurer.hpp"
+#include "measure/lease.hpp"
 #include "model/distributions.hpp"
 
 namespace {
@@ -176,19 +177,27 @@ int cmd_host(const am::Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  am::Cli cli(argc, argv);
-  const auto& pos = cli.positional();
-  const std::string cmd = pos.empty() ? "" : pos[0];
-  if (cmd == "calibrate") return cmd_calibrate(cli);
-  if (cmd == "profile") return cmd_profile(cli);
-  if (cmd == "host") return cmd_host(cli);
-  std::printf(
-      "amtool — Active Measurement of memory resource consumption\n"
-      "usage:\n"
-      "  amtool calibrate [--scale N]\n"
-      "  amtool profile [--scale N] [--app synthetic|mcb|lulesh]\n"
-      "                 [--ranks R] [--per-socket P] [--particles N]\n"
-      "                 [--edge E] [--l3-fraction F]\n"
-      "  amtool host [--threads K] [--buffer-mb M] [--reps R]\n");
-  return cmd.empty() ? 0 : 1;
+  return am::measure::run_worker_main("amtool", [&] {
+    const am::Cli cli(argc, argv);
+    const auto& pos = cli.positional();
+    const std::string cmd = pos.empty() ? "" : pos[0];
+    int (*const run)(const am::Cli&) = cmd == "calibrate" ? cmd_calibrate
+                                       : cmd == "profile" ? cmd_profile
+                                       : cmd == "host"    ? cmd_host
+                                                          : nullptr;
+    if (run) {
+      const int status = run(cli);
+      cli.reject_unused();  // a typo'd flag still fails the invocation
+      return status;
+    }
+    std::printf(
+        "amtool — Active Measurement of memory resource consumption\n"
+        "usage:\n"
+        "  amtool calibrate [--scale N]\n"
+        "  amtool profile [--scale N] [--app synthetic|mcb|lulesh]\n"
+        "                 [--ranks R] [--per-socket P] [--particles N]\n"
+        "                 [--edge E] [--l3-fraction F]\n"
+        "  amtool host [--threads K] [--buffer-mb M] [--reps R]\n");
+    return cmd.empty() ? 0 : 1;
+  });
 }

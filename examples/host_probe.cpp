@@ -6,12 +6,17 @@
 // skipped gracefully otherwise.
 //
 // Build & run:  ./build/examples/host_probe [buffer-mb] [threads]
+// (digits only; anything else exits 2).
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/record.hpp"
 #include "measure/host_backend.hpp"
+#include "measure/lease.hpp"
 
 namespace {
 
@@ -28,13 +33,26 @@ double run_walk(std::vector<std::uint32_t>& buf, int passes) {
   return static_cast<double>(acc);
 }
 
-}  // namespace
+/// Positional argument `i` by the record codec's unsigned rule, or `def`
+/// when absent. Throws std::invalid_argument (exit 2) on anything else:
+/// "abc" must not quietly become a 0-MB buffer or 0 threads.
+std::uint64_t count_arg(int argc, char** argv, int i, const char* what,
+                        std::uint64_t def, std::uint64_t max) {
+  if (argc <= i) return def;
+  const auto v = am::record::parse_u64(argv[i]);
+  if (!v || *v > max)
+    throw std::invalid_argument(std::string(what) +
+                                ": expected an integer in [0, " +
+                                std::to_string(max) + "], got '" + argv[i] +
+                                "'");
+  return *v;
+}
 
-int main(int argc, char** argv) {
+int probe(int argc, char** argv) {
   const std::uint64_t buffer_mb =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 8;
-  const std::uint32_t max_threads =
-      argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 3;
+      count_arg(argc, argv, 1, "buffer-mb", 8, UINT64_MAX / (1024 * 1024));
+  const auto max_threads = static_cast<std::uint32_t>(
+      count_arg(argc, argv, 2, "threads", 3, UINT32_MAX));
 
   std::vector<std::uint32_t> buf(buffer_mb * 1024 * 1024 / 4);
   std::iota(buf.begin(), buf.end(), 0u);
@@ -67,4 +85,11 @@ int main(int argc, char** argv) {
       "noisy; on a quiet multi-core host the slowdown onset marks the\n"
       "walk's shared-cache footprint, as in the paper's Fig. 1.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return am::measure::run_worker_main("host_probe",
+                                      [&] { return probe(argc, argv); });
 }

@@ -12,13 +12,16 @@
 #include "measure/active_measurer.hpp"
 #include "measure/app_workloads.hpp"
 #include "measure/calibration.hpp"
+#include "measure/lease.hpp"
 #include "model/distributions.hpp"
 
-int main(int argc, char** argv) {
-  const am::Cli cli(argc, argv);
+namespace {
+
+int predict(const am::Cli& cli) {
   const auto kScale = static_cast<std::uint32_t>(cli.get_int("scale", 16));
   const auto accesses =
       static_cast<std::uint64_t>(cli.get_int("accesses", 200'000));
+  cli.reject_unused();
   const auto machine = am::sim::MachineConfig::xeon20mb_scaled(kScale);
   am::interfere::CSThrConfig cs;
   cs.buffer_bytes = 4ull * 1024 * 1024 / kScale;
@@ -65,4 +68,12 @@ int main(int argc, char** argv) {
       "degradation; below that the curve above is the expected cost.\n",
       curve.active_use_threshold(0.05) / 1e6);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return am::measure::run_worker_main("predict_future_machine", [&] {
+    return predict(am::Cli(argc, argv));
+  });
 }

@@ -14,10 +14,12 @@
 #include "measure/active_measurer.hpp"
 #include "measure/app_workloads.hpp"
 #include "measure/calibration.hpp"
+#include "measure/lease.hpp"
 #include "model/distributions.hpp"
 
-int main(int argc, char** argv) {
-  const am::Cli cli(argc, argv);
+namespace {
+
+int quickstart(const am::Cli& cli) {
   // Default: a 1:16 scale model of the paper's Xeon20MB node (1.25 MB L3).
   const auto scale =
       static_cast<std::uint32_t>(cli.get_int("scale", 16));
@@ -27,6 +29,7 @@ int main(int argc, char** argv) {
   // Optional: swap the memory model under the whole measurement
   // (--mem-backend channel|banked|ddr4|hbm).
   am::sim::apply_mem_backend(machine, cli.get("mem-backend", "channel"));
+  cli.reject_unused();
 
   am::interfere::CSThrConfig cs;
   cs.buffer_bytes = 4ull * 1024 * 1024 / scale;
@@ -77,4 +80,12 @@ int main(int argc, char** argv) {
                 "(never degraded).\n",
                 bounds.upper / 1e6);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return am::measure::run_worker_main("quickstart", [&] {
+    return quickstart(am::Cli(argc, argv));
+  });
 }

@@ -15,11 +15,15 @@ makes them mechanical:
                             common/rng.hpp) and no wall-clock or timer
                             reads (time is simulated, never sampled).
   AM003 hexfloat-wire       Doubles cross serialization boundaries only
-                            through the hexfloat ("%a") helpers; decimal
-                            float formatting rounds and breaks bit-exact
-                            round-trips. (Integer std::to_string is
-                            fine; a double passed to it is the one case
-                            this rule cannot see — reviews still matter.)
+                            through the record codec's hexfloat() writer
+                            (common/record, the one holder of "%a");
+                            decimal float formatting rounds and breaks
+                            bit-exact round-trips. Every serialization
+                            file must call hexfloat() and must not
+                            format "%a" itself. (Integer std::to_string
+                            is fine; a double passed to it is the one
+                            case this rule cannot see — reviews still
+                            matter.)
   AM004 fingerprint-cover   Every MachineConfig knob either feeds
                             machine_fingerprint (so it keys the result
                             store) or sits on the explicit exclusion
@@ -169,8 +173,20 @@ def check_determinism(path: str, text: str):
 DECIMAL_FLOAT_CONVERSION = re.compile(r"%[-+ #0-9.*]*[eEfFgG]")
 
 
-def check_hexfloat(path: str, text: str):
-    """AM003: decimal float formatting in a wire-format file."""
+# The record codec holds the one "%a" writer; the serialization files
+# reach it through hexfloat().
+HEXFLOAT_CODEC = "src/common/record.cpp"
+SERIALIZATION_FILES = ("src/measure/result_store.cpp",
+                       "src/measure/plan_wire.cpp",
+                       "src/common/work_lease.cpp")
+HEXFLOAT_WRITER_CALL = re.compile(r"\bhexfloat\s*\(")
+
+
+def check_hexfloat(path: str, text: str, writer_user: bool = False):
+    """AM003: decimal float formatting in a wire-format file. The codec
+    (default) must hold the "%a" writer; a serialization file
+    (writer_user) must call the codec's hexfloat() and hold no "%a" of
+    its own."""
     code = strip_comments_and_strings(text, keep_strings=True)
     out = []
     for m in re.finditer(r'"(?:[^"\\\n]|\\.)*"', code):
@@ -190,10 +206,21 @@ def check_hexfloat(path: str, text: str):
                     'cross the wire as hexfloat ("%a") only')
                    for line, tok in _findall_lines(
                        pattern, strip_comments_and_strings(text)))
-    if '"%a"' not in code:
+    if not writer_user:
+        if '"%a"' not in code:
+            out.append((1, "AM003",
+                        "the record codec no longer holds the hexfloat "
+                        '"%a" writer — double round-trips are unprotected'))
+        return out
+    if not HEXFLOAT_WRITER_CALL.search(strip_comments_and_strings(text)):
         out.append((1, "AM003",
-                    "serialization file no longer references the hexfloat "
-                    '"%a" helpers — double round-trips are unprotected'))
+                    "serialization file no longer calls the record codec's "
+                    "hexfloat() writer — double round-trips are "
+                    "unprotected"))
+    out.extend((line, "AM003",
+                'serialization file formats "%a" itself — call the record '
+                "codec's hexfloat() instead")
+               for line, _ in _findall_lines(r'"%a"', code))
     return out
 
 
@@ -308,11 +335,14 @@ def lint_repo(root: Path):
     for sub in ("src/sim", "src/model"):
         for f in _cpp_files(root, sub):
             add(f, check_determinism(f.as_posix(), f.read_text()))
-    for rel in ("src/measure/result_store.cpp", "src/measure/plan_wire.cpp",
-                "src/common/work_lease.cpp"):
+    codec = root / HEXFLOAT_CODEC
+    if codec.exists():
+        add(codec, check_hexfloat(codec.as_posix(), codec.read_text()))
+    for rel in SERIALIZATION_FILES:
         f = root / rel
         if f.exists():
-            add(f, check_hexfloat(f.as_posix(), f.read_text()))
+            add(f, check_hexfloat(f.as_posix(), f.read_text(),
+                                  writer_user=True))
     for rel in ("src/common/socket.cpp", "src/common/subprocess.cpp"):
         f = root / rel
         if f.exists():

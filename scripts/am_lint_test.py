@@ -110,6 +110,56 @@ class HexfloatTest(unittest.TestCase):
         self.assertEqual(rules(found), ["AM003"])
 
 
+class HexfloatWriterUserTest(unittest.TestCase):
+    """AM003 on a serialization file: it must call the record codec's
+    hexfloat() writer and may not re-roll "%a" or a decimal format."""
+    OK = ('out << "cost\\t" << record::hexfloat(cost) << "\\n";\n'
+          'out << std::to_string(count);\n')
+
+    def check(self, text):
+        return rules(am_lint.check_hexfloat("src/x.cpp", text,
+                                            writer_user=True))
+
+    def test_passes_codec_user(self):
+        self.assertEqual(self.check(self.OK), [])
+
+    def test_fails_when_writer_call_vanishes(self):
+        # The file still prints a double, but by its own means: the
+        # round-trip guarantee no longer comes from the codec.
+        bad = 'out << "cost\\t" << cost << "\\n";\n'
+        self.assertEqual(self.check(bad), ["AM003"])
+
+    def test_writer_named_only_in_a_comment_does_not_count(self):
+        bad = '// doubles go through hexfloat(v)\nout << cost;\n'
+        self.assertEqual(self.check(bad), ["AM003"])
+
+    def test_fails_decimal_double(self):
+        bad = self.OK + 'std::snprintf(buf, sizeof(buf), "%.17g", v);\n'
+        self.assertEqual(self.check(bad), ["AM003"])
+
+    def test_fails_private_hexfloat_copy(self):
+        bad = self.OK + 'std::snprintf(buf, sizeof(buf), "%a", v);\n'
+        self.assertEqual(self.check(bad), ["AM003"])
+
+    def test_repo_file_without_the_writer_is_caught(self):
+        # End to end: the real result_store.cpp with its hexfloat() calls
+        # swapped for a local helper must fail the repo lint.
+        import shutil
+        import tempfile
+        with tempfile.TemporaryDirectory() as td:
+            root = Path(td)
+            for rel in (am_lint.HEXFLOAT_CODEC, *am_lint.SERIALIZATION_FILES):
+                (root / rel).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy(REPO / rel, root / rel)
+            store = root / "src/measure/result_store.cpp"
+            text = store.read_text()
+            self.assertIn("hexfloat(", text)
+            store.write_text(text.replace("record::hexfloat(", "num("))
+            found = am_lint.lint_repo(root)
+            self.assertEqual([(p, r) for p, _, r, _ in found],
+                             [("src/measure/result_store.cpp", "AM003")])
+
+
 MACHINE_FIXTURE = """
 struct MachineConfig {
   std::string name = "X";

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <string_view>
+
+#include "common/record.hpp"
 
 namespace am {
 
@@ -81,26 +84,27 @@ bool Cli::get_bool(const std::string& name, bool def) const {
 ShardRange Cli::get_shard(const std::string& name) const {
   const auto s = get(name, "");
   if (s.empty()) return {};
-  const auto slash = s.find('/');
-  // Exactly <digits>/<digits>: in particular no sign characters, which
-  // strtoull would otherwise accept and wrap around (a typo like 1/-4
-  // must not silently become shard 1 of 2^64-4).
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= s.size() ||
-      s.find_first_not_of("0123456789/") != std::string::npos ||
-      s.find('/', slash + 1) != std::string::npos)
+  // Exactly <digits>/<digits> by the record codec's unsigned rule: no
+  // sign characters, which strtoull would otherwise accept and wrap
+  // around (a typo like 1/-4 must not silently become shard 1 of
+  // 2^64-4), and no overflow.
+  const std::string_view v = s;
+  const auto slash = v.find('/');
+  const auto index = record::parse_u64(v.substr(0, slash));
+  const auto count = slash == std::string_view::npos
+                         ? std::nullopt
+                         : record::parse_u64(v.substr(slash + 1));
+  if (!index || !count)
     throw std::invalid_argument("--" + name + ": expected i/n, got '" + s +
                                 "'");
-  errno = 0;
-  const auto index = std::strtoull(s.c_str(), nullptr, 10);
-  const auto count = std::strtoull(s.c_str() + slash + 1, nullptr, 10);
-  if (errno == ERANGE || count == 0)
+  if (*count == 0)
     throw std::invalid_argument("--" + name + ": bad shard count in '" + s +
                                 "'");
-  if (index >= count)
+  if (*index >= *count)
     throw std::invalid_argument("--" + name + ": index " +
-                                std::to_string(index) + " out of range for " +
-                                std::to_string(count) + " shards");
-  return {static_cast<std::size_t>(index), static_cast<std::size_t>(count)};
+                                std::to_string(*index) + " out of range for " +
+                                std::to_string(*count) + " shards");
+  return {static_cast<std::size_t>(*index), static_cast<std::size_t>(*count)};
 }
 
 double Cli::get_seconds(const std::string& name, double def) const {

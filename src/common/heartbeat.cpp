@@ -4,22 +4,27 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/atomic_file.hpp"
+#include "common/record.hpp"
 
 namespace am {
 
+std::string encode_heartbeat(const Heartbeat& hb) {
+  return std::to_string(hb.pid) + '\t' + std::to_string(hb.beats) + '\n';
+}
+
 std::optional<Heartbeat> read_heartbeat(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  Heartbeat hb;
-  char tab = '\0';
-  if (!(in >> hb.pid >> std::noskipws >> tab >> std::skipws >> hb.beats) ||
-      tab != '\t')
-    return std::nullopt;
-  return hb;
+  const auto text = record::read_file(path);
+  if (!text) return std::nullopt;
+  std::string_view rest = *text, line;
+  if (!record::next_line(rest, line)) return std::nullopt;
+  const auto f = record::split_tabs(line);
+  if (f.size() != 2) return std::nullopt;
+  const auto pid = record::parse_u64(f[0]);
+  const auto beats = record::parse_u64(f[1]);
+  if (!pid || !beats) return std::nullopt;
+  return Heartbeat{*pid, *beats};
 }
 
 HeartbeatWriter::HeartbeatWriter(std::string path, double interval_seconds)
@@ -73,11 +78,10 @@ void HeartbeatWriter::stop() {
 void HeartbeatWriter::write_beat() {
   const std::uint64_t beat =
       beats_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::ostringstream out;
-  out << static_cast<std::uint64_t>(::getpid()) << '\t' << beat << '\n';
   // Atomic so a reader never sees a torn beat; a failed write (unwritable
   // directory) leaves us silently beatless — absence is the signal.
-  try_atomic_write_file(path_, out.str());
+  try_atomic_write_file(
+      path_, encode_heartbeat({static_cast<std::uint64_t>(::getpid()), beat}));
 }
 
 }  // namespace am

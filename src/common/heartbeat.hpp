@@ -34,8 +34,12 @@ struct Heartbeat {
   std::uint64_t beats = 0;
 };
 
+/// The file's bytes: one `pid<TAB>beats` line (common/record rules).
+std::string encode_heartbeat(const Heartbeat& hb);
+
 /// The last heartbeat written to `path`, or nullopt when the file is
-/// absent or malformed (a torn read mid-rewrite counts as absent).
+/// absent or malformed: its first line must be exactly two digit-only
+/// fields (a torn read mid-rewrite counts as absent).
 std::optional<Heartbeat> read_heartbeat(const std::string& path);
 
 class HeartbeatWriter {

@@ -1,15 +1,12 @@
 #include "common/work_lease.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/atomic_file.hpp"
+#include "common/record.hpp"
 
 namespace am {
 
@@ -19,40 +16,11 @@ constexpr const char* kLeaseHeader = "#am-work-lease v1";
 constexpr const char* kAckHeader = "#am-lease-ack v1";
 constexpr const char* kPlanHeader = "#am-plan-info v1";
 
-/// Hexfloat: costs and wall-clocks round-trip bit-exactly, like the
-/// result store's doubles.
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-bool parse_double(const std::string& s, double& out) {
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end != s.c_str() && *end == '\0' && errno != ERANGE;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  errno = 0;
-  out = std::strtoull(s.c_str(), nullptr, 10);
-  return errno != ERANGE;
-}
-
-/// Reads the whole file and checks the header; nullopt when absent or
-/// not the expected format. Remaining lines land in `lines`.
-bool read_lines(const std::string& path, const char* header,
-                std::vector<std::string>& lines) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  if (!std::getline(in, line) || line != header) return false;
-  while (std::getline(in, line))
-    if (!line.empty()) lines.push_back(line);
-  return true;
+/// Field `i` of a split line; empty (which no value parser accepts) when
+/// the line is shorter.
+std::string_view field(const std::vector<std::string_view>& f,
+                       std::size_t i) {
+  return i < f.size() ? f[i] : std::string_view{};
 }
 
 }  // namespace
@@ -112,7 +80,7 @@ void write_lease_offer(const std::string& path, const LeaseOffer& offer) {
   out << kLeaseHeader << '\n';
   out << "lease\t" << offer.lease.id << '\n';
   out << "done\t" << (offer.done ? 1 : 0) << '\n';
-  out << "cost\t" << num(offer.lease.cost) << '\n';
+  out << "cost\t" << record::hexfloat(offer.lease.cost) << '\n';
   // Daemon-only fields, omitted when empty so single-plan lease files
   // stay byte-identical to what PR-5 workers expect. Paths may not
   // contain tabs or newlines — the format has no escaping.
@@ -127,32 +95,35 @@ void write_lease_offer(const std::string& path, const LeaseOffer& offer) {
 }
 
 std::optional<LeaseOffer> read_lease_offer(const std::string& path) {
-  std::vector<std::string> lines;
-  if (!read_lines(path, kLeaseHeader, lines)) return std::nullopt;
+  const auto text = record::read_file(path);
+  if (!text) return std::nullopt;
+  std::string_view rest = *text, line;
+  if (!record::take_header(rest, kLeaseHeader)) return std::nullopt;
   LeaseOffer offer;
   bool saw_lease = false, saw_done = false, saw_points = false;
-  for (const auto& line : lines) {
-    std::istringstream in(line);
-    std::string key;
-    in >> key;
+  while (record::next_line(rest, line)) {
+    if (line.empty()) continue;
+    const auto f = record::split_tabs(line);
+    const std::string_view key = f[0];
     if (key == "lease") {
-      std::string v;
-      if (!(in >> v) || !parse_u64(v, offer.lease.id)) return std::nullopt;
+      const auto id = record::parse_u64(field(f, 1));
+      if (!id) return std::nullopt;
+      offer.lease.id = *id;
       saw_lease = true;
     } else if (key == "done") {
-      std::string v;
-      if (!(in >> v) || (v != "0" && v != "1")) return std::nullopt;
+      const std::string_view v = field(f, 1);
+      if (v != "0" && v != "1") return std::nullopt;
       offer.done = v == "1";
       saw_done = true;
     } else if (key == "cost") {
-      std::string v;
-      if (!(in >> v) || !parse_double(v, offer.lease.cost))
-        return std::nullopt;
+      const auto cost = record::parse_double(field(f, 1));
+      if (!cost) return std::nullopt;
+      offer.lease.cost = *cost;
     } else if (key == "plan" || key == "store" || key == "seed_store") {
       // Path values run to end of line (spaces are legal in paths; tabs
       // and newlines are not — the writer has no escaping).
-      if (line.size() <= key.size() + 1) return std::nullopt;
-      const std::string value = line.substr(key.size() + 1);
+      const std::string value(record::split_key(line).second);
+      if (value.empty()) return std::nullopt;
       if (key == "plan")
         offer.plan_path = value;
       else if (key == "store")
@@ -160,11 +131,10 @@ std::optional<LeaseOffer> read_lease_offer(const std::string& path) {
       else
         offer.seed_store_path = value;
     } else if (key == "points") {
-      std::string v;
-      while (in >> v) {
-        std::uint64_t p = 0;
-        if (!parse_u64(v, p)) return std::nullopt;
-        offer.lease.points.push_back(static_cast<std::size_t>(p));
+      for (std::size_t i = 1; i < f.size(); ++i) {
+        const auto p = record::parse_u64(f[i]);
+        if (!p) return std::nullopt;
+        offer.lease.points.push_back(static_cast<std::size_t>(*p));
       }
       saw_points = true;
     }
@@ -179,32 +149,37 @@ void write_lease_ack(const std::string& path, const LeaseAck& ack) {
   out << "lease\t" << ack.lease_id << '\n';
   out << "points\t" << ack.points << '\n';
   out << "executed\t" << ack.executed << '\n';
-  out << "wall\t" << num(ack.wall_seconds) << '\n';
+  out << "wall\t" << record::hexfloat(ack.wall_seconds) << '\n';
   atomic_write_file(path, out.str(), "lease-ack");
 }
 
 std::optional<LeaseAck> read_lease_ack(const std::string& path) {
-  std::vector<std::string> lines;
-  if (!read_lines(path, kAckHeader, lines)) return std::nullopt;
+  const auto text = record::read_file(path);
+  if (!text) return std::nullopt;
+  std::string_view rest = *text, line;
+  if (!record::take_header(rest, kAckHeader)) return std::nullopt;
   LeaseAck ack;
   bool saw_lease = false;
-  for (const auto& line : lines) {
-    std::istringstream in(line);
-    std::string key, v;
-    if (!(in >> key >> v)) return std::nullopt;
-    std::uint64_t u = 0;
-    if (key == "lease") {
-      if (!parse_u64(v, u)) return std::nullopt;
-      ack.lease_id = u;
-      saw_lease = true;
-    } else if (key == "points") {
-      if (!parse_u64(v, u)) return std::nullopt;
-      ack.points = static_cast<std::size_t>(u);
-    } else if (key == "executed") {
-      if (!parse_u64(v, u)) return std::nullopt;
-      ack.executed = static_cast<std::size_t>(u);
-    } else if (key == "wall") {
-      if (!parse_double(v, ack.wall_seconds)) return std::nullopt;
+  while (record::next_line(rest, line)) {
+    if (line.empty()) continue;
+    const auto f = record::split_tabs(line);
+    if (f.size() < 2) return std::nullopt;  // every line is key + value
+    const std::string_view key = f[0];
+    if (key == "wall") {
+      const auto wall = record::parse_double(f[1]);
+      if (!wall) return std::nullopt;
+      ack.wall_seconds = *wall;
+    } else if (key == "lease" || key == "points" || key == "executed") {
+      const auto u = record::parse_u64(f[1]);
+      if (!u) return std::nullopt;
+      if (key == "lease") {
+        ack.lease_id = *u;
+        saw_lease = true;
+      } else if (key == "points") {
+        ack.points = static_cast<std::size_t>(*u);
+      } else {
+        ack.executed = static_cast<std::size_t>(*u);
+      }
     }
   }
   if (!saw_lease) return std::nullopt;
@@ -216,42 +191,48 @@ void write_plan_info(const std::string& path, const PlanInfo& info) {
   out << kPlanHeader << '\n';
   out << "points\t" << info.points << '\n';
   for (std::size_t i = 0; i < info.costs.size(); ++i)
-    out << "cost\t" << i << '\t' << num(info.costs[i]) << '\n';
+    out << "cost\t" << i << '\t' << record::hexfloat(info.costs[i]) << '\n';
   atomic_write_file(path, out.str(), "plan-info");
 }
 
 std::optional<PlanInfo> read_plan_info(const std::string& path) {
-  std::vector<std::string> lines;
-  if (!read_lines(path, kPlanHeader, lines)) return std::nullopt;
+  const auto text = record::read_file(path);
+  if (!text) return std::nullopt;
+  std::string_view rest = *text, line;
+  if (!record::take_header(rest, kPlanHeader)) return std::nullopt;
   PlanInfo info;
   bool saw_points = false;
-  std::vector<std::pair<std::size_t, double>> costs;
-  for (const auto& line : lines) {
-    std::istringstream in(line);
-    std::string key;
-    in >> key;
-    if (key == "points") {
-      std::string v;
-      std::uint64_t u = 0;
-      if (!(in >> v) || !parse_u64(v, u)) return std::nullopt;
-      info.points = static_cast<std::size_t>(u);
+  std::vector<std::pair<std::uint64_t, double>> costs;
+  while (record::next_line(rest, line)) {
+    if (line.empty()) continue;
+    const auto f = record::split_tabs(line);
+    if (f[0] == "points") {
+      const auto n = record::parse_u64(field(f, 1));
+      if (!n) return std::nullopt;
+      info.points = static_cast<std::size_t>(*n);
       saw_points = true;
-    } else if (key == "cost") {
-      std::string i_s, c_s;
-      std::uint64_t i = 0;
-      double c = 0.0;
-      if (!(in >> i_s >> c_s) || !parse_u64(i_s, i) || !parse_double(c_s, c))
-        return std::nullopt;
-      costs.emplace_back(static_cast<std::size_t>(i), c);
+    } else if (f[0] == "cost") {
+      const auto i = record::parse_u64(field(f, 1));
+      const auto c = record::parse_double(field(f, 2));
+      if (!i || !c) return std::nullopt;
+      costs.emplace_back(*i, *c);
     }
   }
   if (!saw_points) return std::nullopt;
-  // Costs are optional as a block but must cover the plan when present.
+  // Costs are optional as a block but must cover the plan exactly once
+  // per point when present. Sizing anything from the unverified `points`
+  // count alone would let one hostile line demand an allocation of any
+  // size; the cost lines themselves are bounded by the file.
   if (!costs.empty()) {
-    info.costs.assign(info.points, 1.0);
-    for (const auto& [i, c] : costs) {
-      if (i >= info.points) return std::nullopt;
-      info.costs[i] = c;
+    if (costs.size() != info.points) return std::nullopt;
+    std::stable_sort(costs.begin(), costs.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    info.costs.reserve(costs.size());
+    for (std::size_t i = 0; i < costs.size(); ++i) {
+      if (costs[i].first != i) return std::nullopt;  // gap or duplicate
+      info.costs.push_back(costs[i].second);
     }
   }
   return info;

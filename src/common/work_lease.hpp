@@ -21,7 +21,9 @@
 //
 // All readers return nullopt for an absent or malformed file instead of
 // throwing: polling loops treat both as "not there yet", and atomic
-// writes make "malformed" unreachable short of manual editing.
+// writes make "malformed" unreachable short of manual editing. Lines and
+// fields follow the record codec's rules (common/record.hpp): one tab
+// between fields, digits-only unsigned values, hexfloat doubles.
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -91,7 +93,10 @@ void write_lease_offer(const std::string& path, const LeaseOffer& offer);
 void write_lease_ack(const std::string& path, const LeaseAck& ack);
 void write_plan_info(const std::string& path, const PlanInfo& info);
 
-/// Readers: the parsed file, or nullopt when absent or malformed.
+/// Readers: the parsed file, or nullopt when absent or malformed. A
+/// plan-info file's cost lines are all-or-nothing: when present there is
+/// exactly one per point (the reader sizes nothing from the bare
+/// `points` count).
 std::optional<LeaseOffer> read_lease_offer(const std::string& path);
 std::optional<LeaseAck> read_lease_ack(const std::string& path);
 std::optional<PlanInfo> read_plan_info(const std::string& path);

@@ -6,17 +6,17 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "common/atomic_file.hpp"
 #include "common/heartbeat.hpp"
+#include "common/record.hpp"
 #include "common/work_lease.hpp"
 #include "interfere/host_identity.hpp"
 
@@ -26,28 +26,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-bool parse_u64_str(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  errno = 0;
-  out = std::strtoull(s.c_str(), nullptr, 10);
-  return errno != ERANGE;
-}
-
-/// key → rest-of-line split at the first tab.
-bool split_kv(const std::string& line, std::string& key, std::string& value) {
-  const std::size_t tab = line.find('\t');
-  if (tab == std::string::npos) {
-    key = line;
-    value.clear();
-    return !key.empty();
-  }
-  key = line.substr(0, tab);
-  value = line.substr(tab + 1);
-  return !key.empty();
-}
-
-std::optional<JobState> parse_job_state(const std::string& s) {
+std::optional<JobState> parse_job_state(std::string_view s) {
   for (const JobState st :
        {JobState::kQueued, JobState::kRunning, JobState::kDone,
         JobState::kFailed, JobState::kCancelled})
@@ -91,16 +70,14 @@ std::string encode_reply(const DaemonReply& reply) {
 }
 
 std::optional<DaemonReply> parse_reply(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != "#am-reply v1") return std::nullopt;
+  std::string_view rest = text, line;
+  if (!record::take_header(rest, "#am-reply v1")) return std::nullopt;
   DaemonReply reply;
   bool saw_ok = false;
-  while (std::getline(in, line)) {
+  while (record::next_line(rest, line)) {
     if (line.empty()) continue;
-    std::string key, value;
-    if (!split_kv(line, key, value)) return std::nullopt;
-    std::uint64_t u = 0;
+    const auto [key, value] = record::split_key(line);
+    if (key.empty()) return std::nullopt;
     if (key == "ok") {
       if (value != "0" && value != "1") return std::nullopt;
       reply.ok = value == "1";
@@ -108,29 +85,98 @@ std::optional<DaemonReply> parse_reply(const std::string& text) {
     } else if (key == "retry") {
       if (value != "0" && value != "1") return std::nullopt;
       reply.retry = value == "1";
-    } else if (key == "job") {
-      if (!parse_u64_str(value, u)) return std::nullopt;
-      reply.job = u;
     } else if (key == "state") {
       const auto st = parse_job_state(value);
       if (!st) return std::nullopt;
       reply.state = *st;
-    } else if (key == "points") {
-      if (!parse_u64_str(value, u)) return std::nullopt;
-      reply.points = static_cast<std::size_t>(u);
-    } else if (key == "done") {
-      if (!parse_u64_str(value, u)) return std::nullopt;
-      reply.done_points = static_cast<std::size_t>(u);
-    } else if (key == "executed") {
-      if (!parse_u64_str(value, u)) return std::nullopt;
-      reply.executed = static_cast<std::size_t>(u);
     } else if (key == "error") {
       reply.error = value;
+    } else if (key == "job" || key == "points" || key == "done" ||
+               key == "executed") {
+      const auto u = record::parse_u64(value);
+      if (!u) return std::nullopt;
+      if (key == "job")
+        reply.job = *u;
+      else if (key == "points")
+        reply.points = static_cast<std::size_t>(*u);
+      else if (key == "done")
+        reply.done_points = static_cast<std::size_t>(*u);
+      else
+        reply.executed = static_cast<std::size_t>(*u);
     }
     // Unknown keys are ignored: replies may grow fields.
   }
   if (!saw_ok) return std::nullopt;
   return reply;
+}
+
+std::string encode_queue(const DaemonQueue& queue) {
+  std::ostringstream out;
+  out << kQueueHeader << '\n';
+  out << "next_job\t" << queue.next_job << '\n';
+  for (const auto& [id, job] : queue.jobs) {
+    const JobState persisted =
+        job.state == JobState::kRunning ? JobState::kQueued : job.state;
+    out << "job\t" << id << '\t' << job.ns << '\t'
+        << job_state_name(persisted) << '\t' << job.points << '\t'
+        << job.executed << '\t' << job.error << '\n';
+    if (!job.done.empty()) {
+      out << "done\t" << id;
+      for (const std::size_t p : job.done) out << '\t' << p;
+      out << '\n';
+    }
+  }
+  return out.str();
+}
+
+std::optional<DaemonQueue> parse_queue(const std::string& text,
+                                       std::ostream& log) {
+  std::string_view rest = text, line;
+  if (!record::take_header(rest, kQueueHeader)) return std::nullopt;
+  DaemonQueue queue;
+  while (record::next_line(rest, line)) {
+    if (line.empty()) continue;
+    auto [key, fields] = record::split_key(line);
+    if (key == "next_job") {
+      if (const auto u = record::parse_u64(record::split_key(fields).first))
+        queue.next_job = std::max(queue.next_job, *u);
+    } else if (key == "job") {
+      // id, namespace, state, points, executed, then the error text to
+      // the end of the line.
+      std::string_view f[5];
+      for (auto& field : f)
+        std::tie(field, fields) = record::split_key(fields);
+      const auto id = record::parse_u64(f[0]);
+      const auto st = parse_job_state(f[2]);
+      const auto pts = record::parse_u64(f[3]);
+      const auto exec = record::parse_u64(f[4]);
+      if (!id || !st || !pts || !exec ||
+          !SweepDaemon::valid_namespace(std::string(f[1]))) {
+        log << "queue file: skipping malformed job line\n";
+        continue;
+      }
+      QueueEntry job;
+      job.id = *id;
+      job.ns = f[1];
+      job.state = *st;
+      job.points = static_cast<std::size_t>(*pts);
+      job.executed = static_cast<std::size_t>(*exec);
+      job.error = fields;
+      queue.jobs.emplace(*id, std::move(job));
+    } else if (key == "done") {
+      const auto f = record::split_tabs(fields);
+      const auto id = record::parse_u64(f[0]);
+      const auto it = id ? queue.jobs.find(*id) : queue.jobs.end();
+      if (it == queue.jobs.end()) continue;
+      QueueEntry& job = it->second;
+      for (std::size_t i = 1; i < f.size(); ++i) {
+        const auto p = record::parse_u64(f[i]);
+        if (p && *p < job.points)
+          job.done.insert(static_cast<std::size_t>(*p));
+      }
+    }
+  }
+  return queue;
 }
 
 SweepDaemon::SweepDaemon(SweepDaemonOptions opts) : opts_(std::move(opts)) {
@@ -199,17 +245,10 @@ struct Conn {
 };
 
 /// One tenant job: a submitted plan working its way through the queue.
-struct Job {
-  std::uint64_t id = 0;
-  std::string ns;
-  JobState state = JobState::kQueued;
-  std::string error;
+/// The QueueEntry base is what the queue file persists.
+struct Job : QueueEntry {
   PlanSpec spec;
   bool spec_ok = false;  // spec parsed and held in memory
-  std::size_t points = 0;
-  std::vector<bool> point_done;
-  std::size_t done_points = 0;
-  std::size_t executed = 0;
   bool admitted = false;
   std::unique_ptr<ExperimentPlan> plan;
   std::unique_ptr<SweepRunner> runner;
@@ -241,89 +280,28 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
 
   // --- persistence -------------------------------------------------------
   const auto write_queue = [&] {
-    std::ostringstream out;
-    out << kQueueHeader << '\n';
-    out << "next_job\t" << next_job_id << '\n';
-    for (const auto& [id, job] : jobs) {
-      // Running jobs persist as queued: their pending points re-admit on
-      // the next start, their completed points ride the `done` line.
-      const JobState persisted =
-          job.state == JobState::kRunning ? JobState::kQueued : job.state;
-      out << "job\t" << id << '\t' << job.ns << '\t'
-          << job_state_name(persisted) << '\t' << job.points << '\t'
-          << job.executed << '\t' << job.error << '\n';
-      if (job.done_points > 0) {
-        out << "done\t" << id;
-        for (std::size_t p = 0; p < job.point_done.size(); ++p)
-          if (job.point_done[p]) out << '\t' << p;
-        out << '\n';
-      }
-    }
-    atomic_write_file(queue_path(dir), out.str(), "sweepd-queue");
+    DaemonQueue queue;
+    queue.next_job = next_job_id;
+    for (const auto& [id, job] : jobs) queue.jobs.emplace(id, job);
+    atomic_write_file(queue_path(dir), encode_queue(queue), "sweepd-queue");
     queue_dirty = false;
   };
 
   const auto load_queue = [&] {
-    std::ifstream in(queue_path(dir));
-    if (!in) return;
-    std::string line;
-    if (!std::getline(in, line) || line != kQueueHeader) {
+    const auto text = record::read_file(queue_path(dir));
+    if (!text) return;
+    auto queue = parse_queue(*text, log);
+    if (!queue) {
       log << "ignoring unreadable queue file " << queue_path(dir) << "\n";
       return;
     }
+    next_job_id = queue->next_job;
     std::size_t resumed = 0;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      std::istringstream ls(line);
-      std::string key;
-      std::getline(ls, key, '\t');
-      if (key == "next_job") {
-        std::string v;
-        std::getline(ls, v, '\t');
-        std::uint64_t u = 0;
-        if (parse_u64_str(v, u)) next_job_id = std::max(next_job_id, u);
-      } else if (key == "job") {
-        std::string id_s, ns, state_s, points_s, executed_s, error;
-        std::getline(ls, id_s, '\t');
-        std::getline(ls, ns, '\t');
-        std::getline(ls, state_s, '\t');
-        std::getline(ls, points_s, '\t');
-        std::getline(ls, executed_s, '\t');
-        std::getline(ls, error);
-        std::uint64_t id = 0, pts = 0, exec = 0;
-        const auto st = parse_job_state(state_s);
-        if (!parse_u64_str(id_s, id) || !st || !parse_u64_str(points_s, pts) ||
-            !parse_u64_str(executed_s, exec) || !valid_namespace(ns)) {
-          log << "queue file: skipping malformed job line\n";
-          continue;
-        }
-        Job job;
-        job.id = id;
-        job.ns = ns;
-        job.state = *st;
-        job.points = static_cast<std::size_t>(pts);
-        job.point_done.assign(job.points, false);
-        job.executed = static_cast<std::size_t>(exec);
-        job.error = error;
-        jobs.emplace(id, std::move(job));
-        if (*st == JobState::kQueued) ++resumed;
-      } else if (key == "done") {
-        std::string id_s;
-        std::getline(ls, id_s, '\t');
-        std::uint64_t id = 0;
-        if (!parse_u64_str(id_s, id)) continue;
-        const auto it = jobs.find(id);
-        if (it == jobs.end()) continue;
-        std::string p_s;
-        while (std::getline(ls, p_s, '\t')) {
-          std::uint64_t p = 0;
-          if (parse_u64_str(p_s, p) && p < it->second.point_done.size() &&
-              !it->second.point_done[p]) {
-            it->second.point_done[p] = true;
-            ++it->second.done_points;
-          }
-        }
-      }
+    for (auto& [id, entry] : queue->jobs) {
+      if (entry.state == JobState::kQueued) ++resumed;
+      Job job;
+      static_cast<QueueEntry&>(job) = std::move(entry);
+      jobs.emplace(id, std::move(job));
     }
     if (!jobs.empty())
       log << "resumed queue: " << jobs.size() << " job(s), " << resumed
@@ -337,7 +315,7 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
     r.job = job.id;
     r.state = job.state;
     r.points = job.points;
-    r.done_points = job.done_points;
+    r.done_points = job.done.size();
     r.executed = job.executed;
     r.error = job.error;
     return r;
@@ -436,11 +414,7 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
     report.engine_runs += ack.executed;
     Job& job = jobs.at(id);
     job.executed += ack.executed;
-    for (const std::size_t p : lease.points)
-      if (!job.point_done[p]) {
-        job.point_done[p] = true;
-        ++job.done_points;
-      }
+    job.done.insert(lease.points.begin(), lease.points.end());
     queue_dirty = true;
   };
   hooks.completed = [&](std::uint64_t id) {
@@ -457,21 +431,20 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
     job.admitted = true;
     try {
       if (!job.spec_ok) {  // resumed from the queue file
-        std::ifstream in(job_spec_path(dir, job.id));
-        if (!in)
+        const auto text = record::read_file(job_spec_path(dir, job.id));
+        if (!text)
           throw std::invalid_argument("plan spec file missing: " +
                                       job_spec_path(dir, job.id));
-        std::stringstream text;
-        text << in.rdbuf();
-        job.spec = parse_plan_spec(text.str());
+        job.spec = parse_plan_spec(*text);
         job.spec_ok = true;
       }
       job.plan = std::make_unique<ExperimentPlan>(build_plan(job.spec));
       job.runner = std::make_unique<SweepRunner>(make_runner(job.spec));
-      job.points = job.plan->size();
-      if (job.point_done.size() != job.points) {
-        job.point_done.assign(job.points, false);
-        job.done_points = 0;
+      // A queue entry that disagrees with its plan about the size keeps
+      // none of its completed points (they re-run as cache hits).
+      if (job.points != job.plan->size()) {
+        job.points = job.plan->size();
+        job.done.clear();
       }
     } catch (const std::exception& e) {
       fail_job(job, std::string("plan rejected: ") + e.what());
@@ -479,7 +452,7 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
     }
     std::vector<std::size_t> pending;
     for (std::size_t p = 0; p < job.points; ++p)
-      if (!job.point_done[p]) pending.push_back(p);
+      if (!job.done.count(p)) pending.push_back(p);
     if (pending.empty()) {
       job.state = JobState::kRunning;
       finalize_job(job);
@@ -519,9 +492,9 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
       std::string ns_line = nl == std::string::npos
                                 ? frame.payload
                                 : frame.payload.substr(0, nl);
-      std::string key, ns;
-      if (!split_kv(ns_line, key, ns) || key != "ns" ||
-          !valid_namespace(ns)) {
+      const auto [key, ns_field] = record::split_key(ns_line);
+      const std::string ns(ns_field);
+      if (key != "ns" || !valid_namespace(ns)) {
         r.error =
             "submit payload must start with 'ns\\t<namespace>' "
             "(1-64 chars of [A-Za-z0-9_-])";
@@ -554,7 +527,6 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
         send_reply(conn, r);
         return;
       }
-      job.point_done.assign(job.points, false);
       ++report.jobs_accepted;
       log << "job " << job.id << " (" << job.ns << "): accepted — "
           << job.points << " point(s)\n";
@@ -570,15 +542,15 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
 
     if (frame.type == kFrameStatus || frame.type == kFrameCancel ||
         frame.type == kFrameWait) {
-      std::string key, value;
-      std::uint64_t id = 0;
+      const auto [key, value] = record::split_key(frame.payload);
+      const auto parsed_id = record::parse_u64(value);
       DaemonReply r;
-      if (!split_kv(frame.payload, key, value) || key != "job" ||
-          !parse_u64_str(value, id)) {
+      if (key != "job" || !parsed_id) {
         r.error = "payload must be 'job\\t<id>'";
         send_reply(conn, r);
         return;
       }
+      const std::uint64_t id = *parsed_id;
       const auto it = jobs.find(id);
       if (it == jobs.end()) {
         r.job = id;
@@ -778,7 +750,7 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
     s.ns = job.ns;
     s.state = job.state;
     s.points = job.points;
-    s.done_points = job.done_points;
+    s.done_points = job.done.size();
     s.executed = job.executed;
     s.error = job.error;
     report.jobs.push_back(std::move(s));
@@ -843,14 +815,12 @@ LeaseWorkerReport run_daemon_worker(const DaemonWorkerOptions& opts,
 
     auto cached = plans.find(offer.plan_path);
     if (cached == plans.end()) {
-      std::ifstream in(offer.plan_path);
-      if (!in)
+      const auto text = record::read_file(offer.plan_path);
+      if (!text)
         throw std::runtime_error("daemon worker: cannot read plan " +
                                  offer.plan_path);
-      std::stringstream text;
-      text << in.rdbuf();
       CachedPlan cp;
-      cp.spec = parse_plan_spec(text.str());  // invalid_argument = usage
+      cp.spec = parse_plan_spec(*text);  // invalid_argument = usage
       cp.plan = build_plan(cp.spec);
       cached = plans.emplace(offer.plan_path, std::move(cp)).first;
     }

@@ -40,7 +40,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -86,6 +88,40 @@ struct DaemonReply {
 std::string encode_reply(const DaemonReply& reply);
 /// Parses encode_reply output; nullopt on anything malformed.
 std::optional<DaemonReply> parse_reply(const std::string& text);
+
+/// The persisted part of one job: its line in the queue file, plus the
+/// plan points already acknowledged (the job's `done` line).
+struct QueueEntry {
+  std::uint64_t id = 0;
+  std::string ns;
+  JobState state = JobState::kQueued;
+  std::size_t points = 0;
+  std::size_t executed = 0;
+  std::string error;  // one line: no tabs or newlines
+  /// Completed plan indices, each < points. A set, not a bitmap sized by
+  /// `points`: a damaged count must not turn into an allocation.
+  std::set<std::size_t> done;
+};
+
+/// The daemon's resumable queue (`daemon/queue.tsv`): the next job id
+/// and every job by id.
+struct DaemonQueue {
+  std::uint64_t next_job = 1;
+  std::map<std::uint64_t, QueueEntry> jobs;
+};
+
+/// The `#am-sweepd-queue v1` text. A running job is written as queued:
+/// its pending points re-admit on the next start, its completed points
+/// ride the `done` line.
+std::string encode_queue(const DaemonQueue& queue);
+/// Parses encode_queue output; nullopt when the header is not the
+/// queue's. Within a queue file it is forgiving, so that one damaged
+/// line cannot cost the other tenants their jobs: a malformed job line
+/// is skipped with a note to `log`, later lines for an id already read
+/// are ignored, and `done` entries that name an unknown job or an
+/// out-of-range point are dropped.
+std::optional<DaemonQueue> parse_queue(const std::string& text,
+                                       std::ostream& log);
 
 struct SweepDaemonOptions {
   std::string socket_path;

@@ -183,9 +183,11 @@ void SweepOrchestrator::dispatch(OrchestratorReport& report,
   };
 
   LeaseDispatcher dispatcher(std::move(dopts), std::move(hooks));
-  std::vector<std::size_t> all(n);
-  std::iota(all.begin(), all.end(), std::size_t{0});
   try {
+    // Sized from the probe's point count, so under the try: a count no
+    // allocation can meet is a failed sweep, not an escaping throw.
+    std::vector<std::size_t> all(n);
+    std::iota(all.begin(), all.end(), std::size_t{0});
     const std::size_t batches =
         dispatcher.add_job(kSweepJob, n, all, info->costs);
     log << "amsweep: " << opts_.driver << ", " << batches
@@ -200,9 +202,9 @@ void SweepOrchestrator::dispatch(OrchestratorReport& report,
         std::this_thread::sleep_for(
             std::chrono::duration<double>(opts_.poll_seconds));
   } catch (const std::exception& e) {
-    // A cost model the batcher rejects, or an I/O failure in the lease
-    // handoff (unwritable offer): reported, never thrown — the contract
-    // of run().
+    // A cost model the batcher rejects, a plan size beyond memory, or an
+    // I/O failure in the lease handoff (unwritable offer): reported,
+    // never thrown — the contract of run().
     report.error = std::string("lease dispatch failed: ") + e.what();
     log << report.error << "\n";
     failed = true;

@@ -1,11 +1,9 @@
 #include "measure/plan_wire.hpp"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/record.hpp"
 #include "measure/app_workloads.hpp"
 
 namespace am::measure {
@@ -14,57 +12,31 @@ namespace {
 
 constexpr const char* kHeader = "#am-plan-spec v1";
 
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
 [[noreturn]] void bad(std::size_t lineno, const std::string& why) {
   throw std::invalid_argument("plan-spec line " + std::to_string(lineno) +
                               ": " + why);
 }
 
-std::vector<std::string> split_tabs(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t tab = line.find('\t', start);
-    if (tab == std::string::npos) {
-      out.push_back(line.substr(start));
-      return out;
-    }
-    out.push_back(line.substr(start, tab - start));
-    start = tab + 1;
-  }
+std::uint64_t u64_field(std::string_view s, std::size_t lineno,
+                        const char* what) {
+  if (const auto v = record::parse_u64(s)) return *v;
+  bad(lineno, std::string(what) +
+                  " must be a non-negative 64-bit integer, got '" +
+                  std::string(s) + "'");
 }
 
-std::uint64_t parse_u64(const std::string& s, std::size_t lineno,
+std::uint32_t u32_field(std::string_view s, std::size_t lineno,
                         const char* what) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
-    bad(lineno, std::string(what) + " must be a non-negative integer, got '" +
-                    s + "'");
-  errno = 0;
-  const std::uint64_t v = std::strtoull(s.c_str(), nullptr, 10);
-  if (errno == ERANGE) bad(lineno, std::string(what) + " out of range");
-  return v;
-}
-
-std::uint32_t parse_u32(const std::string& s, std::size_t lineno,
-                        const char* what) {
-  const std::uint64_t v = parse_u64(s, lineno, what);
+  const std::uint64_t v = u64_field(s, lineno, what);
   if (v > UINT32_MAX) bad(lineno, std::string(what) + " out of range");
   return static_cast<std::uint32_t>(v);
 }
 
-double parse_double(const std::string& s, std::size_t lineno,
+double double_field(std::string_view s, std::size_t lineno,
                     const char* what) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE)
-    bad(lineno, std::string(what) + " must be a number, got '" + s + "'");
-  return v;
+  if (const auto v = record::parse_double(s)) return *v;
+  bad(lineno, std::string(what) + " must be a number, got '" +
+                  std::string(s) + "'");
 }
 
 const char* dist_kind_name(model::DistKind kind) {
@@ -77,19 +49,20 @@ const char* dist_kind_name(model::DistKind kind) {
   return "uniform";
 }
 
-model::DistKind parse_dist_kind(const std::string& s, std::size_t lineno) {
+model::DistKind parse_dist_kind(std::string_view s, std::size_t lineno) {
   if (s == "normal") return model::DistKind::kNormal;
   if (s == "exponential") return model::DistKind::kExponential;
   if (s == "triangular") return model::DistKind::kTriangular;
   if (s == "uniform") return model::DistKind::kUniform;
-  bad(lineno, "unknown distribution kind '" + s +
+  bad(lineno, "unknown distribution kind '" + std::string(s) +
                   "' (normal|exponential|triangular|uniform)");
 }
 
-Resource parse_resource_word(const std::string& s, std::size_t lineno) {
+Resource parse_resource_word(std::string_view s, std::size_t lineno) {
   for (const Resource r : {Resource::kCacheStorage, Resource::kBandwidth})
     if (s == resource_name(r)) return r;
-  bad(lineno, "unknown resource '" + s + "' (cache-storage|bandwidth)");
+  bad(lineno, "unknown resource '" + std::string(s) +
+                  "' (cache-storage|bandwidth)");
 }
 
 void check_name(const std::string& name, const char* what) {
@@ -157,10 +130,10 @@ std::string serialize_plan_spec(const PlanSpec& spec) {
         std::string dist_name = w.dist_name.empty() ? w.name : w.dist_name;
         check_name(dist_name, "distribution name");
         out << "workload\tsynthetic\t" << w.name << '\t' << dist_name << '\t'
-            << dist_kind_name(w.dist) << '\t' << w.n << '\t' << num(w.dist_a)
-            << '\t' << num(w.dist_b) << '\t' << w.element_bytes << '\t'
-            << w.compute_ops << '\t' << w.warmup_accesses << '\t'
-            << w.measured_accesses << '\n';
+            << dist_kind_name(w.dist) << '\t' << w.n << '\t'
+            << record::hexfloat(w.dist_a) << '\t' << record::hexfloat(w.dist_b)
+            << '\t' << w.element_bytes << '\t' << w.compute_ops << '\t'
+            << w.warmup_accesses << '\t' << w.measured_accesses << '\n';
         break;
       }
       case WorkloadWire::Kind::kMcb:
@@ -189,28 +162,27 @@ std::string serialize_plan_spec(const PlanSpec& spec) {
 }
 
 PlanSpec parse_plan_spec(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kHeader)
+  std::string_view rest = text, line;
+  if (!record::take_header(rest, kHeader))
     throw std::invalid_argument(
         std::string("plan-spec: missing '") + kHeader + "' header");
   PlanSpec spec;
   bool saw_machine = false, saw_run = false, saw_end = false;
   std::size_t lineno = 1;
-  while (std::getline(in, line)) {
+  while (record::next_line(rest, line)) {
     ++lineno;
     if (line.empty()) continue;
     if (saw_end) bad(lineno, "content after the 'end' trailer");
-    const std::vector<std::string> f = split_tabs(line);
-    const std::string& key = f[0];
+    const std::vector<std::string_view> f = record::split_tabs(line);
+    const std::string_view key = f[0];
     if (key == "machine") {
       if (f.size() != 7 || f[1] != "scale" || f[3] != "nodes" ||
           f[5] != "backend")
         bad(lineno, "machine line must be "
                     "'machine\\tscale\\tS\\tnodes\\tN\\tbackend\\tB'");
-      spec.machine_scale = parse_u32(f[2], lineno, "machine scale");
+      spec.machine_scale = u32_field(f[2], lineno, "machine scale");
       if (spec.machine_scale == 0) bad(lineno, "machine scale must be >= 1");
-      spec.machine_nodes = parse_u32(f[4], lineno, "machine nodes");
+      spec.machine_nodes = u32_field(f[4], lineno, "machine nodes");
       if (spec.machine_nodes == 0) bad(lineno, "machine nodes must be >= 1");
       spec.mem_backend = f[6];
       if (spec.mem_backend.empty()) bad(lineno, "empty memory backend");
@@ -220,23 +192,23 @@ PlanSpec parse_plan_spec(const std::string& text) {
           f[5] != "mix_seed")
         bad(lineno, "run line must be "
                     "'run\\tseed\\tS\\tmax_cycles\\tC\\tmix_seed\\t0|1'");
-      spec.seed = parse_u64(f[2], lineno, "seed");
-      spec.max_cycles = parse_u64(f[4], lineno, "max_cycles");
+      spec.seed = u64_field(f[2], lineno, "seed");
+      spec.max_cycles = u64_field(f[4], lineno, "max_cycles");
       if (f[6] != "0" && f[6] != "1") bad(lineno, "mix_seed must be 0 or 1");
       spec.mix_seed_per_point = f[6] == "1";
       saw_run = true;
     } else if (key == "cs") {
       if (f.size() != 3) bad(lineno, "cs line must carry 2 fields");
-      spec.cs.buffer_bytes = parse_u64(f[1], lineno, "cs buffer_bytes");
-      spec.cs.batch_size = parse_u32(f[2], lineno, "cs batch_size");
+      spec.cs.buffer_bytes = u64_field(f[1], lineno, "cs buffer_bytes");
+      spec.cs.batch_size = u32_field(f[2], lineno, "cs batch_size");
     } else if (key == "bw") {
       if (f.size() != 6) bad(lineno, "bw line must carry 5 fields");
-      spec.bw.buffer_bytes = parse_u64(f[1], lineno, "bw buffer_bytes");
-      spec.bw.num_buffers = parse_u32(f[2], lineno, "bw num_buffers");
-      spec.bw.line_stride = parse_u32(f[3], lineno, "bw line_stride");
+      spec.bw.buffer_bytes = u64_field(f[1], lineno, "bw buffer_bytes");
+      spec.bw.num_buffers = u32_field(f[2], lineno, "bw num_buffers");
+      spec.bw.line_stride = u32_field(f[3], lineno, "bw line_stride");
       spec.bw.index_compute_cycles =
-          parse_u32(f[4], lineno, "bw index_compute_cycles");
-      spec.bw.buffers_per_step = parse_u32(f[5], lineno, "bw buffers_per_step");
+          u32_field(f[4], lineno, "bw index_compute_cycles");
+      spec.bw.buffers_per_step = u32_field(f[5], lineno, "bw buffers_per_step");
     } else if (key == "workload") {
       if (f.size() < 2) bad(lineno, "workload line missing its kind");
       WorkloadWire w;
@@ -247,34 +219,34 @@ PlanSpec parse_plan_spec(const std::string& text) {
         w.name = f[2];
         w.dist_name = f[3];
         w.dist = parse_dist_kind(f[4], lineno);
-        w.n = parse_u64(f[5], lineno, "buffer elements");
+        w.n = u64_field(f[5], lineno, "buffer elements");
         if (w.n == 0) bad(lineno, "buffer elements must be >= 1");
-        w.dist_a = parse_double(f[6], lineno, "distribution parameter a");
-        w.dist_b = parse_double(f[7], lineno, "distribution parameter b");
-        w.element_bytes = parse_u64(f[8], lineno, "element_bytes");
-        w.compute_ops = parse_u32(f[9], lineno, "compute_ops");
-        w.warmup_accesses = parse_u64(f[10], lineno, "warmup_accesses");
-        w.measured_accesses = parse_u64(f[11], lineno, "measured_accesses");
+        w.dist_a = double_field(f[6], lineno, "distribution parameter a");
+        w.dist_b = double_field(f[7], lineno, "distribution parameter b");
+        w.element_bytes = u64_field(f[8], lineno, "element_bytes");
+        w.compute_ops = u32_field(f[9], lineno, "compute_ops");
+        w.warmup_accesses = u64_field(f[10], lineno, "warmup_accesses");
+        w.measured_accesses = u64_field(f[11], lineno, "measured_accesses");
       } else if (f[1] == "mcb" || f[1] == "lulesh") {
         if (f.size() != 8)
-          bad(lineno, f[1] + " workload must carry 6 fields");
+          bad(lineno, std::string(f[1]) + " workload must carry 6 fields");
         w.kind = f[1] == "mcb" ? WorkloadWire::Kind::kMcb
                                : WorkloadWire::Kind::kLulesh;
         w.name = f[2];
-        w.ranks = parse_u32(f[3], lineno, "ranks");
+        w.ranks = u32_field(f[3], lineno, "ranks");
         if (w.ranks == 0) bad(lineno, "ranks must be >= 1");
-        w.per_socket = parse_u32(f[4], lineno, "per_socket");
+        w.per_socket = u32_field(f[4], lineno, "per_socket");
         if (w.per_socket == 0) bad(lineno, "per_socket must be >= 1");
         const char* dim = w.kind == WorkloadWire::Kind::kMcb ? "particles"
                                                              : "edge";
-        const std::uint32_t size = parse_u32(f[5], lineno, dim);
+        const std::uint32_t size = u32_field(f[5], lineno, dim);
         if (size == 0) bad(lineno, std::string(dim) + " must be >= 1");
         (w.kind == WorkloadWire::Kind::kMcb ? w.particles : w.edge) = size;
-        w.steps = parse_u32(f[6], lineno, "steps");
-        w.app_scale = parse_u32(f[7], lineno, "app scale");
+        w.steps = u32_field(f[6], lineno, "steps");
+        w.app_scale = u32_field(f[7], lineno, "app scale");
         if (w.app_scale == 0) bad(lineno, "app scale must be >= 1");
       } else {
-        bad(lineno, "unknown workload kind '" + f[1] +
+        bad(lineno, "unknown workload kind '" + std::string(f[1]) +
                         "' (synthetic|mcb|lulesh)");
       }
       if (w.name.empty()) bad(lineno, "empty workload name");
@@ -283,14 +255,14 @@ PlanSpec parse_plan_spec(const std::string& text) {
       if (f.size() != 4) bad(lineno, "point line must carry 3 fields");
       PointWire p;
       p.workload =
-          static_cast<std::size_t>(parse_u64(f[1], lineno, "workload index"));
+          static_cast<std::size_t>(u64_field(f[1], lineno, "workload index"));
       p.resource = parse_resource_word(f[2], lineno);
-      p.threads = parse_u32(f[3], lineno, "threads");
+      p.threads = u32_field(f[3], lineno, "threads");
       spec.points.push_back(p);
     } else if (key == "end") {
       saw_end = true;
     } else {
-      bad(lineno, "unknown keyword '" + key + "'");
+      bad(lineno, "unknown keyword '" + std::string(key) + "'");
     }
   }
   if (!saw_end)

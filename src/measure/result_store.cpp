@@ -1,13 +1,9 @@
 #include "measure/result_store.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -16,6 +12,7 @@
 
 #include "common/atomic_file.hpp"
 #include "common/fingerprint.hpp"
+#include "common/record.hpp"
 #include "common/work_lease.hpp"
 #include "interfere/host_identity.hpp"
 
@@ -39,42 +36,24 @@ constexpr std::size_t kColumns = 28;
                            std::to_string(line) + ": " + why);
 }
 
-/// Hexfloat rendering: round-trips every finite double bit-exactly, so a
-/// cached table is indistinguishable from a recomputed one.
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-double parse_double(const std::string& s, const std::string& path,
-                    std::size_t line) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE)
-    fail(path, line, "bad floating-point field '" + s + "'");
-  return v;
-}
-
-std::uint64_t parse_u64(const std::string& s, const std::string& path,
+std::uint64_t u64_field(std::string_view s, const std::string& path,
                         std::size_t line) {
-  // Digits only: strtoull alone would accept whitespace and signs,
-  // silently wrapping an edited "-123" to 2^64-123.
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
-    fail(path, line, "bad integer field '" + s + "'");
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
-  if (errno == ERANGE)
-    fail(path, line, "integer field out of range: '" + s + "'");
-  return v;
+  if (const auto v = record::parse_u64(s)) return *v;
+  fail(path, line, "bad integer field '" + std::string(s) +
+                       "' (digits only, within 64 bits)");
 }
 
-Resource parse_resource(const std::string& s, const std::string& path,
+double double_field(std::string_view s, const std::string& path,
+                    std::size_t line) {
+  if (const auto v = record::parse_double(s)) return *v;
+  fail(path, line, "bad floating-point field '" + std::string(s) + "'");
+}
+
+Resource parse_resource(std::string_view s, const std::string& path,
                         std::size_t line) {
   for (const auto r : {Resource::kCacheStorage, Resource::kBandwidth})
     if (s == resource_name(r)) return r;
-  fail(path, line, "unknown resource '" + s + "'");
+  fail(path, line, "unknown resource '" + std::string(s) + "'");
 }
 
 bool bits_equal(double a, double b) {
@@ -100,17 +79,6 @@ bool bits_equal(const SimRunResult& a, const SimRunResult& b) {
          bits_equal(a.total_mem_bandwidth, b.total_mem_bandwidth) &&
          a.interference_threads == b.interference_threads &&
          a.timed_out == b.timed_out;
-}
-
-std::vector<std::string> split_tabs(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const auto tab = line.find('\t', start);
-    out.push_back(line.substr(start, tab - start));
-    if (tab == std::string::npos) return out;
-    start = tab + 1;
-  }
 }
 
 }  // namespace
@@ -223,32 +191,34 @@ std::string ScenarioKey::fingerprint() const {
 
 ResultStore ResultStore::load(const std::string& path,
                               const StoreLoadOptions& opts) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("ResultStore: cannot open " + path);
+  const auto text = record::read_file(path);
+  if (!text) throw std::runtime_error("ResultStore: cannot open " + path);
 
-  std::string line;
+  std::string_view rest = *text, line;
   std::size_t lineno = 1;
-  const auto strip_cr = [](std::string& s) {
-    if (!s.empty() && s.back() == '\r') s.pop_back();
+  // Tolerated on top of the record rules: CRLF line ends.
+  const auto strip_cr = [](std::string_view& s) {
+    if (!s.empty() && s.back() == '\r') s.remove_suffix(1);
   };
-  if (!std::getline(in, line)) fail(path, lineno, "empty file (no header)");
+  if (!record::next_line(rest, line))
+    fail(path, lineno, "empty file (no header)");
   strip_cr(line);
   if (line != kHeader) {
     if (line.rfind("#am-result-store", 0) == 0)
       fail(path, lineno,
-           "format version mismatch: file says '" + line + "', this build " +
-               "reads v" + std::to_string(kFormatVersion) +
+           "format version mismatch: file says '" + std::string(line) +
+               "', this build reads v" + std::to_string(kFormatVersion) +
                " — re-run the sweep or convert the store");
     fail(path, lineno, "not a result store (missing '" +
                            std::string(kHeader) + "' header)");
   }
 
   ResultStore store;
-  while (std::getline(in, line)) {
+  while (record::next_line(rest, line)) {
     ++lineno;
     strip_cr(line);
     if (line.empty() || line[0] == '#') continue;  // comments permitted
-    const auto cols = split_tabs(line);
+    const auto cols = record::split_tabs(line);
     if (cols.size() != kColumns)
       fail(path, lineno,
            "expected " + std::to_string(kColumns) + " fields, got " +
@@ -260,38 +230,39 @@ ResultStore ResultStore::load(const std::string& path,
     rec.key.workload = cols[3];
     rec.key.resource = parse_resource(cols[4], path, lineno);
     rec.key.threads =
-        static_cast<std::uint32_t>(parse_u64(cols[5], path, lineno));
+        static_cast<std::uint32_t>(u64_field(cols[5], path, lineno));
     rec.key.spec = cols[6];
-    rec.key.seed = parse_u64(cols[7], path, lineno);
-    rec.key.max_cycles = parse_u64(cols[8], path, lineno);
+    rec.key.seed = u64_field(cols[7], path, lineno);
+    rec.key.max_cycles = u64_field(cols[8], path, lineno);
 
     auto& r = rec.result;
-    r.seconds = parse_double(cols[9], path, lineno);
-    r.cycles = parse_u64(cols[10], path, lineno);
+    r.seconds = double_field(cols[9], path, lineno);
+    r.cycles = u64_field(cols[10], path, lineno);
     auto& c = r.app;
-    c.loads = parse_u64(cols[11], path, lineno);
-    c.stores = parse_u64(cols[12], path, lineno);
-    c.l1_hits = parse_u64(cols[13], path, lineno);
-    c.l2_hits = parse_u64(cols[14], path, lineno);
-    c.l3_hits = parse_u64(cols[15], path, lineno);
-    c.mem_accesses = parse_u64(cols[16], path, lineno);
-    c.prefetch_issued = parse_u64(cols[17], path, lineno);
-    c.prefetch_dropped = parse_u64(cols[18], path, lineno);
-    c.writebacks = parse_u64(cols[19], path, lineno);
-    c.bytes_from_mem = parse_u64(cols[20], path, lineno);
-    c.compute_cycles = parse_u64(cols[21], path, lineno);
-    c.stall_cycles = parse_u64(cols[22], path, lineno);
-    r.app_l3_miss_rate = parse_double(cols[23], path, lineno);
-    r.app_mem_bandwidth = parse_double(cols[24], path, lineno);
-    r.total_mem_bandwidth = parse_double(cols[25], path, lineno);
-    r.interference_threads = parse_u64(cols[26], path, lineno);
-    const auto timed_out = parse_u64(cols[27], path, lineno);
+    c.loads = u64_field(cols[11], path, lineno);
+    c.stores = u64_field(cols[12], path, lineno);
+    c.l1_hits = u64_field(cols[13], path, lineno);
+    c.l2_hits = u64_field(cols[14], path, lineno);
+    c.l3_hits = u64_field(cols[15], path, lineno);
+    c.mem_accesses = u64_field(cols[16], path, lineno);
+    c.prefetch_issued = u64_field(cols[17], path, lineno);
+    c.prefetch_dropped = u64_field(cols[18], path, lineno);
+    c.writebacks = u64_field(cols[19], path, lineno);
+    c.bytes_from_mem = u64_field(cols[20], path, lineno);
+    c.compute_cycles = u64_field(cols[21], path, lineno);
+    c.stall_cycles = u64_field(cols[22], path, lineno);
+    r.app_l3_miss_rate = double_field(cols[23], path, lineno);
+    r.app_mem_bandwidth = double_field(cols[24], path, lineno);
+    r.total_mem_bandwidth = double_field(cols[25], path, lineno);
+    r.interference_threads = u64_field(cols[26], path, lineno);
+    const auto timed_out = u64_field(cols[27], path, lineno);
     if (timed_out > 1) fail(path, lineno, "timed_out must be 0 or 1");
     r.timed_out = timed_out != 0;
 
     if (rec.key.fingerprint() != cols[0])
       fail(path, lineno,
-           "fingerprint mismatch (stored " + cols[0] + ", fields hash to " +
+           "fingerprint mismatch (stored " + std::string(cols[0]) +
+               ", fields hash to " +
                rec.key.fingerprint() + ") — record was edited or corrupted");
     if (!opts.expect_host.empty() && rec.host != opts.expect_host)
       fail(path, lineno,
@@ -303,7 +274,8 @@ ResultStore ResultStore::load(const std::string& path,
            "simulated-machine fingerprint mismatch: record is for machine " +
                rec.key.machine + ", expected " + opts.expect_machine);
 
-    const auto [it, inserted] = store.records_.emplace(cols[0], rec);
+    const auto [it, inserted] =
+        store.records_.emplace(std::string(cols[0]), rec);
     if (!inserted && !(it->second.key == rec.key))
       fail(path, lineno, "fingerprint collision between two distinct keys");
     if (!inserted && !bits_equal(it->second.result, rec.result))
@@ -319,21 +291,19 @@ ResultStore ResultStore::load(const std::string& path,
   // Run-time sidecar: best effort. A missing, stale, or malformed sidecar
   // only costs scheduling accuracy, so unlike the canonical file it is
   // never a load error; entries for unknown fingerprints are ignored.
-  std::ifstream times(path + ".times");
-  if (times && std::getline(times, line) && line == kTimesHeader)
-    while (std::getline(times, line)) {
-      strip_cr(line);
-      const auto cols = split_tabs(line);
-      if (cols.size() != 2) continue;
-      const auto it = store.records_.find(cols[0]);
-      if (it == store.records_.end()) continue;
-      errno = 0;
-      char* end = nullptr;
-      const double v = std::strtod(cols[1].c_str(), &end);
-      if (end != cols[1].c_str() && *end == '\0' && errno != ERANGE &&
-          v >= 0.0)
-        it->second.run_seconds = v;
-    }
+  if (const auto times = record::read_file(path + ".times")) {
+    rest = *times;
+    if (record::take_header(rest, kTimesHeader))
+      while (record::next_line(rest, line)) {
+        strip_cr(line);
+        const auto cols = record::split_tabs(line);
+        if (cols.size() != 2) continue;
+        const auto it = store.records_.find(std::string(cols[0]));
+        if (it == store.records_.end()) continue;
+        const auto v = record::parse_double(cols[1]);
+        if (v && *v >= 0.0) it->second.run_seconds = *v;
+      }
+  }
   return store;
 }
 
@@ -414,14 +384,15 @@ void ResultStore::save(const std::string& path) const {
         << rec.key.workload << '\t' << resource_name(rec.key.resource)
         << '\t' << rec.key.threads << '\t' << rec.key.spec << '\t'
         << rec.key.seed << '\t' << rec.key.max_cycles << '\t'
-        << num(r.seconds) << '\t' << r.cycles
+        << record::hexfloat(r.seconds) << '\t' << r.cycles
         << '\t' << c.loads << '\t' << c.stores << '\t' << c.l1_hits << '\t'
         << c.l2_hits << '\t' << c.l3_hits << '\t' << c.mem_accesses << '\t'
         << c.prefetch_issued << '\t' << c.prefetch_dropped << '\t'
         << c.writebacks << '\t' << c.bytes_from_mem << '\t'
         << c.compute_cycles << '\t' << c.stall_cycles << '\t'
-        << num(r.app_l3_miss_rate) << '\t' << num(r.app_mem_bandwidth)
-        << '\t' << num(r.total_mem_bandwidth) << '\t'
+        << record::hexfloat(r.app_l3_miss_rate) << '\t'
+        << record::hexfloat(r.app_mem_bandwidth) << '\t'
+        << record::hexfloat(r.total_mem_bandwidth) << '\t'
         << r.interference_threads << '\t' << (r.timed_out ? 1 : 0) << '\n';
   }
   // Atomic: a worker killed mid-save must not leave a torn store file for
@@ -436,7 +407,7 @@ void ResultStore::save(const std::string& path) const {
   bool any = false;
   for (const auto& [fp, rec] : records_)
     if (rec.run_seconds > 0.0) {
-      times << fp << '\t' << num(rec.run_seconds) << '\n';
+      times << fp << '\t' << record::hexfloat(rec.run_seconds) << '\n';
       any = true;
     }
   if (any) try_atomic_write_file(path + ".times", times.str());

@@ -6,13 +6,9 @@
 //
 //   SetHash::kMask  Physical low-bit indexing, exactly what the model
 //                   always did: `addr & (sets-1)` for power-of-two set
-//                   counts, `addr % sets` otherwise. The non-pow2 path
-//                   is strength-reduced to a precomputed magic-number
-//                   reciprocal (Granlund-Montgomery/Hacker's Delight
-//                   style, the transform compilers apply to division by
-//                   a constant) that is exact for every 64-bit address —
-//                   bit-identical to `%` by the property test in
-//                   tests/sim/set_index_test.cpp.
+//                   counts, `addr % sets` otherwise. Every paper figure
+//                   and benchmark workload has power-of-two set counts;
+//                   the `%` path serves odd test geometries.
 //   SetHash::kH3    A zsim-style H3 universal hash (one fixed random
 //                   row per output bit; output bit i is the parity of
 //                   `addr & row[i]`), spreading pathological strides
@@ -31,7 +27,7 @@ namespace am::sim {
 /// Set-index function selector (CacheConfig::set_hash,
 /// MachineConfig::set_hash).
 enum class SetHash : std::uint8_t {
-  kMask = 0,  // low-bit mask (pow2) / exact reciprocal modulo (non-pow2)
+  kMask = 0,  // low-bit mask (pow2) / modulo (non-pow2)
   kH3 = 1,    // H3 family hash over the line address
 };
 
@@ -53,39 +49,17 @@ class SetIndexer {
     switch (mode_) {
       case Mode::kPow2Mask:
         return line_addr & mask_;
-      case Mode::kMagicMod:
-        return magic_mod(line_addr);
+      case Mode::kMod:
+        return line_addr % num_sets_;
       case Mode::kH3Pow2:
         return h3(line_addr);
       default:  // Mode::kH3Mod
-        return magic_mod(h3(line_addr));
+        return h3(line_addr) % num_sets_;
     }
   }
 
-  /// `x % num_sets()` through the precomputed reciprocal — one widening
-  /// multiply plus shifts instead of a hardware divide. Exposed so the
-  /// exact-quotient property test can drive it directly on every
-  /// geometry, power of two or not.
-  std::uint64_t magic_mod(std::uint64_t x) const {
-    if (mask_ != 0 || num_sets_ == 1) return x & mask_;
-    std::uint64_t q = mul_hi(x, magic_);
-    // Hacker's Delight 10-9: when the magic needs 65 bits, the quotient
-    // is (q + x) >> shift — computed overflow-free as the average of q
-    // and x (same parity, so exact) shifted one less.
-    if (magic_add_)
-      q = (q + ((x - q) >> 1)) >> (magic_shift_ - 1);
-    else
-      q >>= magic_shift_;
-    return x - q * num_sets_;
-  }
-
  private:
-  enum class Mode : std::uint8_t { kPow2Mask, kMagicMod, kH3Pow2, kH3Mod };
-
-  static std::uint64_t mul_hi(std::uint64_t a, std::uint64_t b) {
-    __extension__ using u128 = unsigned __int128;
-    return static_cast<std::uint64_t>((static_cast<u128>(a) * b) >> 64);
-  }
+  enum class Mode : std::uint8_t { kPow2Mask, kMod, kH3Pow2, kH3Mod };
 
   std::uint64_t h3(Addr line_addr) const {
     std::uint64_t out = 0;
@@ -100,11 +74,6 @@ class SetIndexer {
   Mode mode_ = Mode::kPow2Mask;
   std::uint64_t num_sets_ = 1;
   std::uint64_t mask_ = 0;  // num_sets-1 when power of two, else 0
-
-  // Magic reciprocal for the non-pow2 modulo (computed in set_index.cpp).
-  std::uint64_t magic_ = 0;
-  std::uint32_t magic_shift_ = 0;
-  bool magic_add_ = false;
 
   // H3 rows: one fixed 64-bit mask per output bit, deterministically
   // seeded so every run (and every process) places lines identically.

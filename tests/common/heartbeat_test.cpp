@@ -7,7 +7,10 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
+
+#include "common/record.hpp"
 
 namespace am {
 namespace {
@@ -106,6 +109,45 @@ TEST(Heartbeat, RejectsMalformedFiles) {
   EXPECT_EQ(hb->pid, 123u);
   EXPECT_EQ(hb->beats, 456u);
   fs::remove(path);
+}
+
+TEST(Heartbeat, RejectsSignsBlanksAndTrailingBytes) {
+  // `istream >> uint64_t` used to read "-5" as 2^64-5, and skipped
+  // blanks and ignored whatever followed the beat count.
+  using namespace std::string_literals;
+  const auto path = temp_path("hostile.hb");
+  for (const std::string& bad :
+       {"123\t-5\n"s, "-123\t5\n"s, "+123\t5\n"s, "123\t+5\n"s,
+        " 123\t5\n"s, "123\t 5\n"s, "123\t\t5\n"s, "123\t5\t6\n"s,
+        "123\t5 junk\n"s, "123\t5\r\n"s, "123\n"s, "\t5\n"s, "123\t\n"s,
+        "123\t18446744073709551616\n"s, "0x7b\t5\n"s, "123\t5\0\n"s, ""s}) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bad;
+    std::optional<Heartbeat> hb;
+    EXPECT_NO_THROW(hb = read_heartbeat(path));
+    EXPECT_FALSE(hb.has_value()) << '"' << bad << '"';
+  }
+  // Without a final newline, and at the 64-bit limit, it still reads.
+  std::ofstream(path, std::ios::trunc) << "7\t18446744073709551615";
+  const auto hb = read_heartbeat(path);
+  ASSERT_TRUE(hb.has_value());
+  EXPECT_EQ(hb->pid, 7u);
+  EXPECT_EQ(hb->beats, UINT64_MAX);
+  fs::remove(path);
+}
+
+TEST(Heartbeat, GoldenFileReserializesByteIdentically) {
+  const std::string golden = std::string(AM_FORMATS_DIR) + "/heartbeat.txt";
+  const auto hb = read_heartbeat(golden);
+  ASSERT_TRUE(hb.has_value());
+  EXPECT_EQ(encode_heartbeat(*hb), *record::read_file(golden));
+}
+
+TEST(Heartbeat, WriterFileIsTheEncodedBeat) {
+  const auto path = temp_path("encoded.hb");
+  HeartbeatWriter writer(path, 3600.0);  // only the constructor's beat
+  EXPECT_EQ(*record::read_file(path),
+            encode_heartbeat({static_cast<std::uint64_t>(::getpid()), 1}));
+  writer.stop();
 }
 
 }  // namespace

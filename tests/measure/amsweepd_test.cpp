@@ -23,12 +23,14 @@
 #include <fstream>
 #include <map>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/record.hpp"
 #include "common/work_lease.hpp"
 
 namespace am::measure {
@@ -175,6 +177,154 @@ TEST(DaemonReply_, ParserRejectsGarbageAndIgnoresUnknownKeys) {
       parse_reply("#am-reply v1\nok\t1\nfuture_field\twhatever\n");
   ASSERT_TRUE(ok.has_value());
   EXPECT_TRUE(ok->ok);
+}
+
+std::string format_fixture(const std::string& name) {
+  const auto text =
+      record::read_file(std::string(AM_FORMATS_DIR) + "/" + name);
+  return text ? *text : std::string();
+}
+
+std::size_t count_of(const std::string& haystack, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto pos = haystack.find(needle); pos != std::string::npos;
+       pos = haystack.find(needle, pos + 1))
+    ++n;
+  return n;
+}
+
+TEST(DaemonReply_, GoldenReplyReserializesByteIdentically) {
+  const std::string golden = format_fixture("reply.txt");
+  const auto reply = parse_reply(golden);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(encode_reply(*reply), golden);
+}
+
+TEST(DaemonQueue_, GoldenQueueReserializesByteIdentically) {
+  // Written by the daemon's queue checkpoint before it became
+  // encode_queue: a done job with its `done` line, a failed job with
+  // error text, a queued job.
+  const std::string golden = format_fixture("queue.tsv");
+  std::ostringstream log;
+  const auto queue = parse_queue(golden, log);
+  ASSERT_TRUE(queue.has_value());
+  EXPECT_EQ(log.str(), "");
+  EXPECT_EQ(queue->next_job, 4u);
+  ASSERT_EQ(queue->jobs.size(), 3u);
+  EXPECT_EQ(queue->jobs.at(1).done, (std::set<std::size_t>{0, 1}));
+  EXPECT_EQ(queue->jobs.at(2).state, JobState::kFailed);
+  EXPECT_FALSE(queue->jobs.at(2).error.empty());
+  EXPECT_EQ(encode_queue(*queue), golden);
+}
+
+TEST(DaemonQueue_, RoundTripsAndPersistsRunningJobsAsQueued) {
+  DaemonQueue queue;
+  queue.next_job = 12;
+  QueueEntry running;
+  running.id = 3;
+  running.ns = "alice";
+  running.state = JobState::kRunning;
+  running.points = 5;
+  running.executed = 2;
+  running.done = {0, 3};
+  QueueEntry failed;
+  failed.id = 7;
+  failed.ns = "bob_2-x";
+  failed.state = JobState::kFailed;
+  failed.points = 1;
+  failed.error = "merge failed: disk  full (two spaces kept)";
+  queue.jobs.emplace(running.id, running);
+  queue.jobs.emplace(failed.id, failed);
+
+  std::ostringstream log;
+  const std::string text = encode_queue(queue);
+  const auto back = parse_queue(text, log);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(log.str(), "");
+  EXPECT_EQ(back->next_job, 12u);
+  ASSERT_EQ(back->jobs.size(), 2u);
+  const QueueEntry& r = back->jobs.at(3);
+  EXPECT_EQ(r.state, JobState::kQueued) << "running persists as queued";
+  EXPECT_EQ(r.ns, "alice");
+  EXPECT_EQ(r.points, 5u);
+  EXPECT_EQ(r.executed, 2u);
+  EXPECT_EQ(r.done, running.done);
+  const QueueEntry& f = back->jobs.at(7);
+  EXPECT_EQ(f.state, JobState::kFailed);
+  EXPECT_EQ(f.error, failed.error);
+  EXPECT_TRUE(f.done.empty());
+  EXPECT_EQ(text.find("done\t7"), std::string::npos)
+      << "a job without completed points writes no done line";
+  EXPECT_EQ(encode_queue(*back), text);
+}
+
+TEST(DaemonQueue_, ParserSkipsDamagedLinesAndKeepsTheRest) {
+  const std::string text =
+      "#am-sweepd-queue v1\n"
+      "next_job\t5\n"
+      "next_job\tlots\n"   // ignored
+      "next_job\t3\n"      // the largest wins
+      "job\t1\talice\tqueued\t3\t0\t\n"
+      "job\t-2\tbob\tqueued\t3\t0\t\n"        // signed id
+      "job\t2\tbad/ns\tqueued\t3\t0\t\n"      // namespace charset
+      "job\t3\tcarol\tparked\t3\t0\t\n"       // unknown state
+      "job\t4\tdave\tqueued\tmany\t0\t\n"     // points
+      "job\t5\terin\tdone\t2\t1x\t\n"         // executed
+      "job\t6\tfrank\n"                           // truncated
+      "job\t1\tmallory\tdone\t9\t9\tlate\n"   // duplicate id: ignored
+      "done\t1\t0\t2\t2\t7\t-1\tx\t\n"      // dupes, range, junk
+      "done\t99\t0\n"                             // unknown job
+      "done\tnone\t0\n"                           // bad id
+      "something\telse\n"                          // unknown key
+      "\n";
+  std::ostringstream log;
+  const auto queue = parse_queue(text, log);
+  ASSERT_TRUE(queue.has_value());
+  EXPECT_EQ(queue->next_job, 5u);
+  ASSERT_EQ(queue->jobs.size(), 1u);
+  const QueueEntry& job = queue->jobs.at(1);
+  EXPECT_EQ(job.ns, "alice");
+  EXPECT_EQ(job.points, 3u);
+  EXPECT_EQ(job.done, (std::set<std::size_t>{0, 2}));
+  EXPECT_EQ(count_of(log.str(), "queue file: skipping malformed job line\n"),
+            6u)
+      << log.str();
+}
+
+TEST(DaemonQueue_, ParserRejectsForeignHeadersAndNeverThrows) {
+  using namespace std::string_literals;
+  std::ostringstream log;
+  for (const std::string& bad :
+       {""s, "next_job\t3\n"s, "#am-sweepd-queue v2\nnext_job\t3\n"s,
+        "#am-sweepd-queue v1\r\nnext_job\t3\n"s, "#am-reply v1\nok\t1\n"s})
+    EXPECT_FALSE(parse_queue(bad, log).has_value()) << bad;
+  // Mutations of the golden queue (bytes replaced, dropped, inserted):
+  // never a throw, and every job kept obeys the line rules.
+  const std::string golden = format_fixture("queue.tsv");
+  ASSERT_FALSE(golden.empty());
+  const std::string alphabet = "\t\n0123456789-x\0 "s;
+  std::mt19937_64 rng(2024);
+  for (int round = 0; round < 2000; ++round) {
+    std::string text = golden;
+    for (int m = 1 + static_cast<int>(rng() % 4); m > 0; --m) {
+      const std::size_t at =
+          20 + rng() % (text.size() - 20);  // keep the header line
+      const char c = alphabet[rng() % alphabet.size()];
+      switch (rng() % 3) {
+        case 0: text[at] = c; break;
+        case 1: text.erase(at, 1); break;
+        default: text.insert(at, 1, c); break;
+      }
+    }
+    std::optional<DaemonQueue> queue;
+    EXPECT_NO_THROW(queue = parse_queue(text, log)) << round;
+    ASSERT_TRUE(queue.has_value());
+    for (const auto& [id, job] : queue->jobs) {
+      EXPECT_EQ(job.id, id);
+      EXPECT_TRUE(SweepDaemon::valid_namespace(job.ns));
+      for (const std::size_t p : job.done) EXPECT_LT(p, job.points);
+    }
+  }
 }
 
 TEST(FairShare, GrantGapIsBoundedUnderRandomLoads) {

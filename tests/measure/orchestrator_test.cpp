@@ -337,6 +337,33 @@ TEST_F(OrchestratorTest, RequiresASuccessfulProbe) {
   EXPECT_TRUE(report.attempts.empty());  // no workers ever spawned
 }
 
+TEST_F(OrchestratorTest, HugeProbedPlanIsReportedNotThrown) {
+  // A probe claiming 2^62 points: with one cost line the plan info is
+  // unreadable; without, the plan-size allocation fails inside the
+  // dispatch. Either way run() reports, writes its manifest, and never
+  // throws.
+  for (const bool with_cost : {true, false}) {
+    const std::string probe =
+        "case \"$3\" in --emit-plan)\n"
+        "  printf '#am-plan-info v1\\npoints\\t4611686018427387904\\n" +
+        std::string(with_cost ? "cost\\t0\\t1\\n" : "") +
+        "' > \"$4\"; exit 0 ;;\n"
+        "esac\nexit 0\n";
+    SweepOrchestrator orch(opts(probe, 0));
+    std::ostringstream log;
+    OrchestratorReport report;
+    EXPECT_NO_THROW(report = orch.run(log)) << with_cost;
+    EXPECT_FALSE(report.success) << with_cost;
+    EXPECT_NE(report.error.find(with_cost ? "no readable plan info"
+                                          : "lease dispatch failed"),
+              std::string::npos)
+        << report.error;
+    EXPECT_TRUE(report.attempts.empty()) << "no worker may be spawned";
+    EXPECT_TRUE(
+        fs::exists(SweepOrchestrator::manifest_path(dir(), "drv")));
+  }
+}
+
 TEST_F(OrchestratorTest, ExhaustsPerPointBudgetAndNamesPoints) {
   // Workers that die holding a lease charge each leased point one
   // failure; once a point's budget is gone the sweep fails, and every

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "common/record.hpp"
+
 namespace am::measure {
 namespace {
 
@@ -269,6 +271,23 @@ TEST(PlanWire, BaselineNormalizationSurvivesTheWire) {
   const PlanSpec back = parse_plan_spec(serialize_plan_spec(spec));
   EXPECT_EQ(back.points.size(), 3u);       // the wire keeps the raw list
   EXPECT_EQ(build_plan(back).size(), 2u);  // the plan dedups baselines
+}
+
+TEST(PlanWire, GoldenSpecReserializesByteIdentically) {
+  // Written by the serializer that predates the record codec.
+  const auto golden =
+      record::read_file(std::string(AM_FORMATS_DIR) + "/plan_spec.txt");
+  ASSERT_TRUE(golden.has_value());
+  EXPECT_EQ(serialize_plan_spec(parse_plan_spec(*golden)), *golden);
+}
+
+TEST(PlanWire, RejectsFieldsWithBytesAfterANul) {
+  using namespace std::string_literals;
+  std::string text = serialize_plan_spec(sample_spec());
+  const auto pos = text.find("\tmax_cycles\t123456789");
+  ASSERT_NE(pos, std::string::npos);
+  text.insert(pos + 21, "\0"s);  // after the max_cycles value
+  EXPECT_THROW(parse_plan_spec(text), std::invalid_argument);
 }
 
 }  // namespace

@@ -9,9 +9,11 @@
 #include <sstream>
 #include <string>
 
+#include "common/record.hpp"
 #include "interfere/host_identity.hpp"
 #include "measure/app_workloads.hpp"
 #include "measure/experiment_plan.hpp"
+#include "measure/plan_wire.hpp"
 #include "model/distributions.hpp"
 
 namespace am::measure {
@@ -619,6 +621,73 @@ TEST_F(ResultStoreTest, ShardedTableContainsOnlyOwnedPoints) {
   EXPECT_EQ(table.size(), plan.shard(0, 2).size());
   const auto& pt1 = plan.points()[1];  // owned by shard 1
   EXPECT_EQ(table.get(pt1.workload, pt1.resource, pt1.threads), nullptr);
+}
+
+TEST_F(ResultStoreTest, EarlierWrittenStoreLoadsAndResavesIdentically) {
+  // tests/golden/formats/store.tsv (+ .times) came from the writers that
+  // predate the record codec: every record's stored fingerprint must
+  // still hash from its fields, and a save must reproduce both files.
+  const std::string golden = std::string(AM_FORMATS_DIR) + "/store.tsv";
+  const auto store = ResultStore::load(golden);
+  ASSERT_EQ(store.size(), 2u);
+  store.save(path("resaved.tsv"));
+  EXPECT_EQ(*record::read_file(path("resaved.tsv")),
+            *record::read_file(golden));
+  EXPECT_EQ(*record::read_file(path("resaved.tsv.times")),
+            *record::read_file(golden + ".times"));
+
+  // Its records are runs of the plan-spec fixture's machine, so the
+  // machine fingerprint has not moved either.
+  const PlanSpec spec = parse_plan_spec(
+      *record::read_file(std::string(AM_FORMATS_DIR) + "/plan_spec.txt"));
+  const std::string machine_fp = machine_fingerprint(make_machine(spec));
+  for (const auto* rec : store.records()) {
+    EXPECT_EQ(rec->key.machine, machine_fp);
+    EXPECT_GT(rec->run_seconds, 0.0);
+  }
+}
+
+TEST_F(ResultStoreTest, LoadRejectsDoubleFieldWithBytesAfterANul) {
+  // strtod stops at the NUL; the bytes after it are trailing junk, as
+  // the plan-spec reader always held.
+  ResultStore store;
+  store.put(key(), result(), "host");
+  store.save(path("s.tsv"));
+  std::string content = *record::read_file(path("s.tsv"));
+  const std::string seconds = record::hexfloat(result().seconds);
+  const auto pos = content.find("\t" + seconds + "\t");
+  ASSERT_NE(pos, std::string::npos);
+  content.insert(pos + 1 + seconds.size(), std::string("\0junk", 5));
+  std::ofstream(path("nul.tsv"), std::ios::binary) << content;
+  try {
+    ResultStore::load(path("nul.tsv"));
+    FAIL() << "expected the NUL-padded double to throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(":2:"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(ResultStoreTest, RunTimeSidecarIgnoresHostileEntries) {
+  ResultStore store;
+  store.put(key("w", 1), result(), "host", 1.5);
+  store.put(key("w", 2), result(), "host", 2.5);
+  store.put(key("w", 3), result(), "host", 3.5);
+  store.save(path("s.tsv"));
+  const std::string fp1 = key("w", 1).fingerprint();
+  const std::string fp2 = key("w", 2).fingerprint();
+  const std::string fp3 = key("w", 3).fingerprint();
+  // Negative, NUL-padded and range-error times are dropped; the store
+  // itself still loads.
+  std::ofstream(path("s.tsv.times"), std::ios::binary)
+      << "#am-run-times v1\n"
+      << fp1 << "\t-0x1p+0\n"
+      << fp2 << "\t0x1p+0" << std::string("\0x", 2) << "\n"
+      << fp3 << "\t1e999\n";
+  const auto loaded = ResultStore::load(path("s.tsv"));
+  EXPECT_EQ(loaded.size(), 3u);
+  for (std::uint32_t t = 1; t <= 3; ++t)
+    EXPECT_EQ(loaded.run_seconds(key("w", t)), 0.0) << t;
 }
 
 }  // namespace
